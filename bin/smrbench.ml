@@ -1291,6 +1291,39 @@ module Reclaim_bench = struct
       gated = true;
     }
 
+  (* A read-side critical section as a traversal drives it: [crit] around
+     a preallocated body that polls for neutralization 8 times.  Gated at
+     zero allocation: [crit] builds no closure of its own, and the signal
+     handler [poll] passes is built once at [register]. *)
+  let crit_poll_kernel ~iters =
+    let bd = Brcu_core.create (dom_make ~scheme:"BRCU") in
+    let h = Brcu_core.register bd in
+    let body () =
+      for _ = 1 to 8 do
+        Brcu_core.poll h
+      done
+    in
+    let ops = 256 in
+    let cycle () =
+      for _ = 1 to ops do
+        Brcu_core.crit h body
+      done
+    in
+    let ns, words = measure ~iters cycle in
+    Brcu_core.unregister h;
+    Brcu_core.drain bd;
+    dom_drop bd.Brcu_core.meta;
+    {
+      kernel = "crit_poll";
+      scheme = "BRCU";
+      hazards = 0;
+      iters;
+      ops_per_cycle = ops;
+      ns_per_op = ns /. float_of_int ops;
+      minor_words_per_op = words /. float_of_int ops;
+      gated = true;
+    }
+
   let run_all ~quick =
     let sc = if quick then 8 else 1 in
     let it n = max 8 (n / sc) in
@@ -1315,6 +1348,7 @@ module Reclaim_bench = struct
       advance_kernel ~iters:(it 1000);
       guards_kernel ~iters:(it 1000);
       brcu_advance_kernel ~iters:(it 500);
+      crit_poll_kernel ~iters:(it 1000);
       trace_emit_off_kernel ~iters:(it 2000);
       flight_emit_kernel ~iters:(it 2000);
     ]
@@ -1522,7 +1556,8 @@ let bench_domains_cmd =
             "Exit non-zero on any census/uaf failure, single-domain \
              overhead beyond 1.5x the fiber baseline, kernel parity \
              beyond 1.5x or allocating in-domain, or (on multi-core \
-             hardware) an absolute multi-domain slowdown.")
+             hardware) an absolute multi-domain slowdown, judged on the \
+             median of 3 runs of each cell.")
   in
   let quick_arg =
     Arg.(

@@ -1,10 +1,33 @@
 #!/bin/sh
 # Pre-merge gate: build, tests, and (when ocamlformat is available) the
 # formatting check.  Run from the repository root.
-set -eu
+#
+# Every gate runs even when an earlier one fails: the failures are
+# collected, listed together at the end, and the script then exits 1.
+# Only a failed build stops it early, since nothing after it can run.
+set -u
 
-dune build
-dune runtest
+failures=""
+
+# fail NAME: record a failed gate.
+fail() {
+  echo "check.sh: FAIL $1" >&2
+  failures="${failures}  - $1
+"
+}
+
+# gate NAME CMD...: run one gate command, recording NAME if it fails.
+gate() {
+  name=$1
+  shift
+  "$@" || fail "$name"
+}
+
+if ! dune build; then
+  echo "check.sh: build failed; no gate can run" >&2
+  exit 1
+fi
+gate "dune runtest" dune runtest
 
 # Legacy-reset gate: S.reset is the compatibility shim of the
 # first-class-domain redesign (Smr_intf.Globalize) and must not gain new
@@ -15,28 +38,31 @@ if grep -rnE '[A-Za-z_]+\.reset \(\)' lib bin test examples --include='*.ml' \
   | grep -vE 'Alloc\.reset \(\)' \
   | grep -v 'lib/schemes/schemes\.ml' ; then
   echo "check.sh: new S.reset-style call site (use domain create/destroy instead)" >&2
-  exit 1
+  fail "legacy-reset grep"
 fi
 
 # Chaos smoke gate: the full scheme matrix under every fault plan, three
 # seeds, with the traced determinism probes.  Exits non-zero on any
 # invariant violation (non-termination, use-after-free, bound overshoot,
 # missing EBR collapse, replay mismatch).
-dune exec bin/smrbench.exe -- chaos --seeds 3 --quick
+gate "chaos (fibers)" dune exec bin/smrbench.exe -- chaos --seeds 3 --quick
 
 # Steady-state allocation gate (DESIGN.md §9): every gated reclamation
 # kernel (retire, scan, pin/unpin, failed advance, disabled trace emit)
 # must stay at zero minor-heap words per cycle (threshold 0.05 words/op
 # absorbs probe calibration noise); the disabled emit additionally must
 # stay single-digit ns.
-dune exec bin/smrbench.exe -- bench-reclaim --gate --quick --out /tmp/BENCH_reclaim.ci.json
+gate "bench-reclaim" dune exec bin/smrbench.exe -- bench-reclaim --gate --quick \
+  --out /tmp/BENCH_reclaim.ci.json
 
 # Analyze smoke gate (DESIGN.md §10): spool a small traced longrun cell,
 # run the trace analyzer over it, and require non-empty time-to-reclaim
 # percentiles plus a loadable Perfetto export.  An empty join here means
 # the correlation ids or the spool sink broke.
-dune exec bin/smrbench.exe -- longrun --scheme HP-BRCU --trace-out /tmp/smrbench.ci.trace
-dune exec bin/smrbench.exe -- analyze --require-ttr --outdir /tmp/smrbench.ci.results \
+gate "analyze: longrun" dune exec bin/smrbench.exe -- longrun --scheme HP-BRCU \
+  --trace-out /tmp/smrbench.ci.trace
+gate "analyze" dune exec bin/smrbench.exe -- analyze --require-ttr \
+  --outdir /tmp/smrbench.ci.results \
   --perfetto /tmp/smrbench.ci.perfetto.json /tmp/smrbench.ci.trace
 
 # Shard-isolation gate (DESIGN.md §12): the payoff discriminator of the
@@ -45,7 +71,7 @@ dune exec bin/smrbench.exe -- analyze --require-ttr --outdir /tmp/smrbench.ci.re
 # the one-domain-per-shard build, while the identical map over a single
 # shared domain balloons — the shared/isolated peak ratio must clear the
 # threshold, with exactly one crash and zero UAFs in both builds.
-dune exec bin/smrbench.exe -- shards --quick --gate
+gate "shards (fibers)" dune exec bin/smrbench.exe -- shards --quick --gate
 
 # Self-healing gate (DESIGN.md §13): the KV service under a reader
 # crashed mid-section.  With the watchdog on, the escalation ladder
@@ -54,7 +80,8 @@ dune exec bin/smrbench.exe -- shards --quick --gate
 # one recycle in the trace; with it off, the same seed's peak must
 # exceed the supervised peak by >= 5x; both runs must be UAF-free and
 # the supervised run must replay byte-identically.
-dune exec bin/smrbench.exe -- serve --scheme RCU --faults crash-reader --compare --quick
+gate "serve compare (fibers)" dune exec bin/smrbench.exe -- serve --scheme RCU \
+  --faults crash-reader --compare --quick
 
 # Domains gate (DESIGN.md §14): the real-parallelism substrate.  The
 # full scheme matrix runs short ops-limited cells on Domain.spawn
@@ -65,7 +92,8 @@ dune exec bin/smrbench.exe -- serve --scheme RCU --faults crash-reader --compare
 # 1.5x of the identical fiber-substrate cell (measured against a
 # parked-companion baseline so both sides pay real fenced atomics).
 # Scalability-ratio gates arm themselves only on >= 2 cores.
-dune exec bin/smrbench.exe -- bench-domains --quick --gate --out /tmp/BENCH_domains.ci.json
+gate "bench-domains" dune exec bin/smrbench.exe -- bench-domains --quick --gate \
+  --out /tmp/BENCH_domains.ci.json
 
 # Flight-recorder smoke gate (DESIGN.md §15): a domains-mode service
 # run with the trace armed must produce a merged ns trace that the
@@ -74,8 +102,10 @@ dune exec bin/smrbench.exe -- bench-domains --quick --gate --out /tmp/BENCH_doma
 # count.  The census identity (merged + dropped = emitted) is asserted
 # inside the run itself; --require-gc-track makes the exporter validate
 # the JSON it wrote.
-dune exec bin/smrbench.exe -- serve --mode domains --quick --trace-out /tmp/smrbench.ci.flight.trace
-dune exec bin/smrbench.exe -- analyze --outdir /tmp/smrbench.ci.flight.results \
+gate "flight: serve" dune exec bin/smrbench.exe -- serve --mode domains --quick \
+  --trace-out /tmp/smrbench.ci.flight.trace
+gate "flight: analyze" dune exec bin/smrbench.exe -- analyze \
+  --outdir /tmp/smrbench.ci.flight.results \
   --perfetto /tmp/smrbench.ci.flight.perfetto.json --require-gc-track \
   /tmp/smrbench.ci.flight.trace
 
@@ -83,7 +113,8 @@ dune exec bin/smrbench.exe -- analyze --outdir /tmp/smrbench.ci.flight.results \
 # emulates the crash by parking pinned inside shard 0's critical
 # section while the writers drain, and the shared/isolated ratio must
 # still clear the (schedule-aware) domain-mode threshold.
-dune exec bin/smrbench.exe -- shards --quick --gate --mode domains
+gate "shards (domains)" dune exec bin/smrbench.exe -- shards --quick --gate \
+  --mode domains
 
 # Chaos on real cores (DESIGN.md §16): the RCU / HP-BRCU smoke corner of
 # the fault matrix on Domain.spawn workers — a crashed reader is a real
@@ -93,7 +124,8 @@ dune exec bin/smrbench.exe -- shards --quick --gate --mode domains
 # crashes.  The RCU-vs-HP-BRCU crashed-reader peak-ratio discriminator
 # arms itself on >= 2 hardware threads; on one core it is reported but
 # not gated (never faked).
-dune exec bin/smrbench.exe -- chaos --mode domains --smoke --seeds 1
+gate "chaos (domains)" dune exec bin/smrbench.exe -- chaos --mode domains \
+  --smoke --seeds 1
 
 # Self-healing on real cores (DESIGN.md §16): the watchdog payoff cell
 # on the Domains backend.  The gate needs real parallelism for the
@@ -102,8 +134,8 @@ dune exec bin/smrbench.exe -- chaos --mode domains --smoke --seeds 1
 # skipped, not faked, on one.
 cores="$( (nproc || getconf _NPROCESSORS_ONLN) 2>/dev/null | head -n1 )"
 if [ "${cores:-1}" -ge 2 ]; then
-  dune exec bin/smrbench.exe -- serve --mode domains --scheme RCU \
-    --faults crash-reader --compare
+  gate "serve compare (domains)" dune exec bin/smrbench.exe -- serve \
+    --mode domains --scheme RCU --faults crash-reader --compare
 else
   echo "check.sh: 1 hardware thread; skipping serve --mode domains --compare gate"
 fi
@@ -117,7 +149,7 @@ if grep -nE '^let [a-z_0-9]+( *: *[^=]*)? *= *ref ' \
   lib/runtime/fault.ml lib/runtime/signal.ml lib/runtime/watchdog.ml \
   lib/workload/chaos.ml lib/workload/kvservice.ml ; then
   echo "check.sh: top-level ref in a domains-crossed module (use Atomic.t)" >&2
-  exit 1
+  fail "atomics-audit grep"
 fi
 
 # Hunt smoke gate (DESIGN.md §11): the mutation test for the checker
@@ -126,12 +158,16 @@ fi
 # strategies suits its bug shape — shrunk, and their repros replayed
 # byte-identically; the same budget over every real scheme must stay
 # silent.
-dune exec bin/smrbench.exe -- hunt --smoke --seed 1
+gate "hunt" dune exec bin/smrbench.exe -- hunt --smoke --seed 1
 
 if command -v ocamlformat >/dev/null 2>&1; then
-  dune build @fmt
+  gate "fmt" dune build @fmt
 else
   echo "check.sh: ocamlformat not installed; skipping dune build @fmt"
 fi
 
+if [ -n "$failures" ]; then
+  printf 'check.sh: %s\n%s' "failed gates:" "$failures" >&2
+  exit 1
+fi
 echo "check.sh: all checks passed"

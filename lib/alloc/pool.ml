@@ -46,7 +46,7 @@ let backoff attempt =
   let cap = 1 lsl min attempt 6 in
   let n = 1 + (s land max_int) mod cap in
   for _ = 1 to n do
-    Sched.yield ()
+    Sched.spin ()
   done
 
 let push t x =

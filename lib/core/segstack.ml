@@ -88,6 +88,26 @@ let push_chain (t : 'a t) chain =
       in
       go ()
 
+(** Destructively reverse an owned chain: segment order and the items of
+    every segment, so iterating the result visits the items in the
+    opposite order.  Relinks in place; allocates nothing. *)
+let rev chain =
+  let rec go acc = function
+    | None -> acc
+    | Some s as cur ->
+        let nxt = s.next in
+        let a = s.items in
+        for i = 0 to (s.count / 2) - 1 do
+          let j = s.count - 1 - i in
+          let x = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- x
+        done;
+        s.next <- acc;
+        go cur nxt
+  in
+  go None chain
+
 (** Destructively split an owned chain by a predicate on segment stamps;
     returns [(matching, rest)], both preserving segment order. *)
 let split chain pred =

@@ -277,8 +277,11 @@ let check_deadline () =
       end
 
 (** [yield ()] is a potential context-switch point.  In fiber mode the
-    scheduler may transfer control to another fiber; in domain mode it is a
-    spin-wait hint.  Schemes call this from every mediated read and poll. *)
+    scheduler may transfer control to another fiber; in domain mode it is
+    a pure preemption point: the deadline check and the fault consult, and
+    nothing else.  Schemes call this from every mediated read and poll, so
+    it must not pause — a loop that waits on another worker calls {!spin}
+    instead (DESIGN.md §9). *)
 let yield () =
   check_deadline ();
   match !ctx_ref with
@@ -312,8 +315,15 @@ let yield () =
             Fault.crash_park ();
             raise Crashed
         | None -> ()
-      end;
-      Domain.cpu_relax ()
+      end
+
+(** [spin ()] — {!yield} inside a loop that waits on another worker (a
+    flag another domain sets, a contended CAS).  Fiber mode: exactly
+    {!yield}.  Domain mode: {!yield} plus a [PAUSE], so the waiting core
+    backs off the line the other domain must write. *)
+let spin () =
+  yield ();
+  if not (fiber_mode ()) then Domain.cpu_relax ()
 
 (** Unconditional switch point (fiber mode); used by spin loops so that the
     thread being waited on is guaranteed to run. *)

@@ -21,8 +21,9 @@
     are attached with the domain's id and every neutralization send is
     stamped with it, so one domain's forced advances can never page
     readers of another domain ({!Hpbrcu_runtime.Signal}'s routing fence).
-    Deferred work is intrusive ({!Hpbrcu_core.Retired.entry} + the
-    domain's [execute]), as in {!Epoch_core}.
+    Deferred work is intrusive: expired {!Hpbrcu_core.Retired.entry}
+    chains go to the domain's [expire] whole (HP-BRCU relinks them onto
+    its HP half's orphan list with one CAS).
 
     Hot-path discipline (DESIGN.md §9): the TASKS list is a
     {!Hpbrcu_core.Segstack} whose segment stamps are the epoch tags (so
@@ -81,7 +82,9 @@ type domain = {
          one, so at most the batches already queued at quarantine time
          land here.  [drain] (domain teardown, when every fiber is gone)
          finally reclaims them. *)
-  execute : Retired.entry -> unit;
+  expire : Retired.entry Segstack.seg option -> unit;
+      (* consumes an owned chain of expired entries (its tasks ran out
+         of readers); the default reclaims each entry *)
   (* Sharded: bumped on scheme hot paths (every rollback/signal/advance),
      read only at snapshot time. *)
   advances : Stats.Counter.t;
@@ -115,7 +118,9 @@ type domain = {
   abort_masking : bool;
 }
 
-let create ?execute meta =
+let reclaim_chain chain = Segstack.iter chain Retired.reclaim_entry
+
+let create ?(expire = reclaim_chain) meta =
   let cfg = Dom.config meta in
   {
     meta;
@@ -123,8 +128,7 @@ let create ?execute meta =
     participants = Registry.Participants.create ();
     tasks = Segstack.create ();
     leaked = Segstack.create ();
-    execute =
-      (match execute with Some f -> f | None -> Retired.reclaim_entry);
+    expire;
     advances = Stats.Counter.make ();
     forced = Stats.Counter.make ();
     rollbacks = Stats.Counter.make ();
@@ -147,7 +151,23 @@ type handle = {
   idx : int;
   ltasks : Retired.entry Vec.t;
   mutable push_cnt : int;  (* Algorithm 5 line 13 *)
+  on_signal : unit -> unit;
+      (* [handler d l], built once so {!poll} allocates nothing *)
 }
+
+(* Signal handler (Algorithm 6 lines 4-7), run in the receiver's context
+   by Signal.poll. *)
+let handler d l () =
+  let st = Atomic.get l.status in
+  if st = st_incs then begin
+    Stats.Counter.incr d.rollbacks;
+    (* arg2 joins this rollback to the Signal_sent that caused it. *)
+    Trace.emit2 Trace.Rollback 0 (Signal.consumed_seq l.box);
+    raise Rollback
+  end
+  else if st = st_inrm then
+    (* Racing with Mask's exit CAS; CAS keeps exactly one winner. *)
+    ignore (Atomic.compare_and_set l.status st_inrm st_rbreq)
 
 let register d =
   let l =
@@ -164,26 +184,19 @@ let register d =
   let tid = Sched.self () in
   if tid >= 0 && tid < Array.length d.locals_by_tid then
     d.locals_by_tid.(tid) <- Some l;
-  { d; l; idx; ltasks = Vec.create (dummy_entry ()); push_cnt = 0 }
+  {
+    d;
+    l;
+    idx;
+    ltasks = Vec.create (dummy_entry ());
+    push_cnt = 0;
+    on_signal = handler d l;
+  }
 
 let epoch d = Atomic.get d.global
 
-(* Signal handler (Algorithm 6 lines 4-7), run in the receiver's context
-   by Signal.poll. *)
-let handler d l () =
-  let st = Atomic.get l.status in
-  if st = st_incs then begin
-    Stats.Counter.incr d.rollbacks;
-    (* arg2 joins this rollback to the Signal_sent that caused it. *)
-    Trace.emit2 Trace.Rollback 0 (Signal.consumed_seq l.box);
-    raise Rollback
-  end
-  else if st = st_inrm then
-    (* Racing with Mask's exit CAS; CAS keeps exactly one winner. *)
-    ignore (Atomic.compare_and_set l.status st_inrm st_rbreq)
-
 (** Neutralization delivery point: every mediated read/deref polls. *)
-let poll h = Signal.poll h.l.box ~handler:(handler h.d h.l)
+let poll h = Signal.poll h.l.box ~handler:h.on_signal
 
 (** Delivery point for contexts that only know the calling thread and the
     domain (e.g. shield stores inside a checkpoint). *)
@@ -196,37 +209,62 @@ let poll_self d =
 
 let in_cs h = Atomic.get h.l.status <> st_out
 
+(* The four edges of a critical section, split out of {!crit} so that a
+   caller with its own loop (HP-BRCU's traverse) can drive them without
+   building a body closure.  Every entry is left by exactly one of
+   [leave], [rolled_back] or [abort]. *)
+
+(** Checkpoint(chkpt) (Algorithm 5 line 15): enter, or re-enter after a
+    rollback.  A delivery pending while Out is a no-op and is dropped. *)
+let enter h =
+  let l = h.l in
+  Signal.consume_quietly l.box;
+  Atomic.set l.status st_incs;
+  Atomic.set l.epoch (Atomic.get h.d.global);  (* SC: line 16's fence *)
+  Trace.emit Trace.Cs_begin (Atomic.get l.epoch)
+
+(** Normal exit; a signal that arrives after the body finished is
+    consumed here, so it cannot kill the next critical section. *)
+let leave h =
+  let l = h.l in
+  Atomic.set l.epoch (-1);
+  Atomic.set l.status st_out;
+  Signal.consume_quietly l.box;
+  Trace.emit Trace.Cs_end 0
+
+(** The [Rollback] landed: leave, then give the signaler a chance to run
+    before the caller re-{!enter}s. *)
+let rolled_back h =
+  Atomic.set h.l.epoch (-1);
+  Atomic.set h.l.status st_out;
+  Trace.emit Trace.Cs_end 1;
+  Sched.yield ()
+
+(** A foreign exception (deadline, crash unwind, a raising body) is
+    leaving the section; the caller re-raises it. *)
+let abort h =
+  Atomic.set h.l.epoch (-1);
+  Atomic.set h.l.status st_out;
+  Trace.emit Trace.Cs_end 2
+
+let rec crit_loop h body =
+  enter h;
+  match body () with
+  | r ->
+      leave h;
+      r
+  | exception Rollback ->
+      rolled_back h;
+      crit_loop h body
+  | exception e ->
+      abort h;
+      raise e
+
 (** CriticalSection (Algorithm 5 line 14).  The body may be re-executed
     after each rollback; it must be abort-rollback-safe (§4.1). *)
 let crit h body =
   assert (not (in_cs h));
-  let l = h.l in
-  let rec go () =
-    (* Checkpoint(chkpt): re-entry point of the rollback. *)
-    Signal.consume_quietly l.box;  (* delivery while Out is a no-op *)
-    Atomic.set l.status st_incs;
-    Atomic.set l.epoch (Atomic.get h.d.global);  (* SC: line 16's fence *)
-    Trace.emit Trace.Cs_begin (Atomic.get l.epoch);
-    match body () with
-    | r ->
-        Atomic.set l.epoch (-1);
-        Atomic.set l.status st_out;
-        Signal.consume_quietly l.box;
-        Trace.emit Trace.Cs_end 0;
-        r
-    | exception Rollback ->
-        Atomic.set l.epoch (-1);
-        Atomic.set l.status st_out;
-        Trace.emit Trace.Cs_end 1;
-        Sched.yield ();
-        go ()
-    | exception e ->
-        Atomic.set l.epoch (-1);
-        Atomic.set l.status st_out;
-        Trace.emit Trace.Cs_end 2;
-        raise e
-  in
-  go ()
+  crit_loop h body
 
 (** Abort-masked region (Algorithm 6 line 8).  Inside [crit], a
     neutralization received in the region is deferred to its exit.
@@ -267,13 +305,11 @@ let mask h body =
    Surviving segments go back with one CAS before any entry runs. *)
 let run_expired d limit =
   match Segstack.take_all d.tasks with
-  | None -> 0
+  | None -> ()
   | Some _ as chain ->
       let expired, kept = Segstack.split chain (fun e -> e <= limit) in
       Segstack.push_chain d.tasks kept;
-      let n = Segstack.total expired in
-      Segstack.iter expired d.execute;
-      n
+      d.expire expired
 
 (* Quarantine a participant whose box answered [Dead_receiver]: it is a
    confirmed crash (never runs again, never dereferences again), so its
@@ -437,7 +473,7 @@ let advance_with ~forced h =
             outcome := 0;
             Trace.emit Trace.Epoch_advance (eg + 1)
           end;
-          ignore (run_expired d (eg - 1) : int)
+          run_expired d (eg - 1)
         end
       end
     end;
@@ -477,7 +513,7 @@ let flush h =
           Stats.Counter.incr d.advances;
           Trace.emit Trace.Epoch_advance (eg + 1)
         end;
-        ignore (run_expired d (eg - 1) : int)
+        run_expired d (eg - 1)
   end
 
 (** Supervision entry (the watchdog's nudge rung): a forced advance that
@@ -505,13 +541,8 @@ let unregister h =
     included) is gone, so the TASKS stack and even the quarantine parking
     lot can finally be reclaimed. *)
 let drain d =
-  let drain_stack stack =
-    match Segstack.take_all stack with
-    | None -> ()
-    | Some _ as chain -> Segstack.iter chain d.execute
-  in
-  drain_stack d.tasks;
-  drain_stack d.leaked;
+  d.expire (Segstack.take_all d.tasks);
+  d.expire (Segstack.take_all d.leaked);
   Array.fill d.locals_by_tid 0 (Array.length d.locals_by_tid) None;
   Registry.Participants.reset d.participants;
   Atomic.set d.global 2;

@@ -33,7 +33,13 @@ module Dom = Smr_intf.Dom
 module B = Brcu_core
 module H = Hp_core
 
-module Impl : Smr_intf.SCHEME = struct
+module Impl : sig
+  include Smr_intf.SCHEME
+
+  val brcu : handle -> B.handle
+  (** The BRCU half of a handle: its section status, announced epoch and
+      signal box, for tests that aim a rollback at a traversal. *)
+end = struct
   let scheme = "HP-BRCU"
 
   let caps (cfg : Config.t) : Caps.t =
@@ -76,7 +82,7 @@ module Impl : Smr_intf.SCHEME = struct
       hd;
       (* Two-step retirement's second step: expired deferrals land in the
          HP half, still subject to the shield scan. *)
-      bd = B.create ~execute:(H.retire_deferred_entry hd) meta;
+      bd = B.create ~expire:(H.retire_deferred_chain hd) meta;
       tr_steps = Stats.Counter.make ();
       tr_validate_fail = Stats.Counter.make ();
       tr_traverses = Stats.Counter.make ();
@@ -95,16 +101,26 @@ module Impl : Smr_intf.SCHEME = struct
       Dom.finish_destroy d.meta
     end
 
-  type handle = { d : domain; bh : B.handle; hh : H.handle }
+  type handle = {
+    d : domain;
+    bh : B.handle;
+    hh : H.handle;
+    mutable steps : int;
+    mutable resumes : int;
+        (* the running traverse's counts, folded into the domain's
+           sharded counters once when it ends *)
+  }
 
   let register d =
     Dom.on_register d.meta;
-    { d; bh = B.register d.bd; hh = H.register d.hd }
+    { d; bh = B.register d.bd; hh = H.register d.hd; steps = 0; resumes = 0 }
 
   let unregister h =
     B.unregister h.bh;
     H.unregister h.hh;
     Dom.on_unregister h.d.meta
+
+  let brcu h = h.bh
 
   let flush h =
     B.flush h.bh;
@@ -172,84 +188,130 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* Traverse with double buffering (Algorithm 7).  Unlike HP-RCU there is
      no voluntary exit between checkpoints: the critical section runs until
-     Finish, relying on neutralization to bound it.  [comp] always indexes
-     a buffer holding a complete protection, even if a rollback lands
-     between the two protect stores of a checkpoint. *)
+     Finish, relying on neutralization to bound it.
+
+     The loop below is [crit] unrolled by hand, so a traversal allocates no
+     closure and no option: [walk], [start] and [resume] are toplevel and
+     take the whole traversal state as arguments.  [comp] names the buffer
+     holding the last complete checkpoint (0 = [backup], 1 = [prot]) and
+     [c0]/[c1] the cursors those buffers protect, and [left] counts the
+     steps to the next periodic checkpoint (a countdown, not [i mod
+     backup_period]: no division per step); a rollback landing
+     anywhere — in [init], in a step, or between a checkpoint's two protect
+     stores — resumes from [comp], which only moves once a checkpoint's
+     stores have all completed.  Every call that can deliver a [Rollback]
+     sits in its own [match ... with exception] so that the recursion stays
+     in tail position. *)
+
+  (* A foreign exception leaves the section (crit's third exit). *)
+  let bail h e =
+    B.abort h.bh;
+    raise e
+
+  (* Protect [c] into buffer [nb]; [false] if a rollback landed before the
+     stores completed.  Begin/end bracket the double-buffered protect
+     stores — the window a neutralization signal can land inside (§4.3). *)
+  let checkpoint h ~protect buf nb c =
+    Trace.emit Trace.Checkpoint_begin nb;
+    match protect buf c with
+    | () ->
+        Trace.emit Trace.Checkpoint nb;
+        true
+    | exception B.Rollback -> false
+    | exception e -> bail h e
+
+  let rec walk h ~prot ~backup ~protect ~validate ~step ~comp ~c0 ~c1 cur left
+      =
+    h.steps <- h.steps + 1;
+    match step cur with
+    | Smr_intf.Continue c when left > 1 ->
+        walk h ~prot ~backup ~protect ~validate ~step ~comp ~c0 ~c1 c (left - 1)
+    | Smr_intf.Continue c ->
+        let nb = 1 - comp in
+        if checkpoint h ~protect (if nb = 0 then backup else prot) nb c then
+          let c0 = if nb = 0 then c else c0 and c1 = if nb = 1 then c else c1 in
+          walk h ~prot ~backup ~protect ~validate ~step ~comp:nb ~c0 ~c1 c
+            h.d.backup_period
+        else resume h ~prot ~backup ~protect ~validate ~step ~comp ~c0 ~c1
+    | Smr_intf.Finish (c, r) ->
+        let nb = 1 - comp in
+        let buf = if nb = 0 then backup else prot in
+        if checkpoint h ~protect buf nb c then begin
+          B.leave h.bh;
+          Some (c, buf, r)
+        end
+        else resume h ~prot ~backup ~protect ~validate ~step ~comp ~c0 ~c1
+    | Smr_intf.Fail ->
+        B.leave h.bh;
+        None
+    | exception B.Rollback ->
+        resume h ~prot ~backup ~protect ~validate ~step ~comp ~c0 ~c1
+    | exception e -> bail h e
+
+  (* Rollback: re-enter, then revalidate the last complete checkpoint
+     (R1 / §3.3) before walking on from it. *)
+  and resume h ~prot ~backup ~protect ~validate ~step ~comp ~c0 ~c1 =
+    B.rolled_back h.bh;
+    B.enter h.bh;
+    h.resumes <- h.resumes + 1;
+    let c = if comp = 0 then c0 else c1 in
+    match validate c with
+    | true ->
+        walk h ~prot ~backup ~protect ~validate ~step ~comp ~c0 ~c1 c
+          h.d.backup_period
+    | false ->
+        Stats.Counter.incr h.d.tr_validate_fail;
+        B.leave h.bh;
+        None
+    | exception B.Rollback ->
+        resume h ~prot ~backup ~protect ~validate ~step ~comp ~c0 ~c1
+    | exception e -> bail h e
+
+  (* The entry point, inside a freshly entered section.  It needs no
+     revalidation — the cursor comes fresh from the entry point inside
+     this very critical section (R1 holds trivially), and crucially this
+     lets the traversal *step through* (and help unlink) a marked first
+     node instead of failing before it can help, which would livelock
+     every thread behind a marked entry node whose remover lost its unlink
+     CAS.  A rollback before the backup buffer fully protects the cursor
+     starts over. *)
+  let rec start h ~prot ~backup ~protect ~validate ~init ~step =
+    h.resumes <- h.resumes + 1;
+    match
+      let s = init () in
+      protect backup s;
+      s
+    with
+    | s ->
+        walk h ~prot ~backup ~protect ~validate ~step ~comp:0 ~c0:s ~c1:s s
+          h.d.backup_period
+    | exception B.Rollback ->
+        B.rolled_back h.bh;
+        B.enter h.bh;
+        start h ~prot ~backup ~protect ~validate ~init ~step
+    | exception e -> bail h e
+
+  let fold_counts h =
+    Stats.Counter.add h.d.tr_steps h.steps;
+    Stats.Counter.add h.d.tr_resumes h.resumes;
+    h.steps <- 0;
+    h.resumes <- 0
+
   let traverse h ~prot ~backup ~protect ~validate ~init ~step =
     (* Ablation hook: without double buffering both checkpoint slots are
        the same protector, so a rollback landing mid-checkpoint can leave
        no complete protection (§4.3). *)
     let backup = if h.d.double_buffering then backup else prot in
-    let bufs = [| backup; prot |] in
-    let curs = [| None; None |] in
-    let comp = ref 0 in
-    (* [started] flips once the entry-point cursor exists.  The first
-       entry needs no revalidation — the cursor comes fresh from the entry
-       point inside this very critical section (R1 holds trivially), and
-       crucially this lets the traversal *step through* (and help unlink) a
-       marked first node instead of failing before it can help, which
-       would livelock every thread behind a marked entry node whose
-       remover lost its unlink CAS. *)
-    let started = ref false in
-    let backup_period = h.d.backup_period in
     Stats.Counter.incr h.d.tr_traverses;
-    let outcome =
-      B.crit h.bh (fun () ->
-          Stats.Counter.incr h.d.tr_resumes;
-          let resume =
-            if not !started then begin
-              let s = init () in
-              protect bufs.(0) s;
-              curs.(0) <- Some s;
-              comp := 0;
-              started := true;
-              Some s
-            end
-            else begin
-              (* Rollback resume: revalidate the checkpoint (R1 / §3.3). *)
-              let c = Option.get curs.(!comp mod 2) in
-              if validate c then Some c
-              else begin
-                Stats.Counter.incr h.d.tr_validate_fail;
-                None
-              end
-            end
-          in
-          match resume with
-          | None -> `Fail
-          | Some c0 ->
-            let cur = ref c0 in
-            begin
-            let checkpoint () =
-              let nb = (!comp + 1) mod 2 in
-              (* Begin/end bracket the double-buffered protect stores — the
-                 window a neutralization signal can land inside (§4.3). *)
-              Trace.emit Trace.Checkpoint_begin nb;
-              protect bufs.(nb) !cur;
-              curs.(nb) <- Some !cur;
-              incr comp;
-              Trace.emit Trace.Checkpoint nb
-            in
-            let rec go i =
-              Stats.Counter.incr h.d.tr_steps;
-              match step !cur with
-              | Smr_intf.Finish (c, r) ->
-                  cur := c;
-                  checkpoint ();
-                  `Done r
-              | Smr_intf.Continue c ->
-                  cur := c;
-                  if i mod backup_period = 0 then checkpoint ();
-                  go (i + 1)
-              | Smr_intf.Fail -> `Fail
-            in
-            go 1
-          end)
-    in
-    ignore (started : bool ref);
-    match outcome with
-    | `Done r -> Some (Option.get curs.(!comp mod 2), bufs.(!comp mod 2), r)
-    | `Fail -> None
+    assert (not (B.in_cs h.bh));
+    B.enter h.bh;
+    match start h ~prot ~backup ~protect ~validate ~init ~step with
+    | r ->
+        fold_counts h;
+        r
+    | exception e ->
+        fold_counts h;
+        raise e
 
   let stats d =
     Dom.stamp_stats d.meta

@@ -188,18 +188,27 @@ let retire h ?free ~patches ~claimed blk =
 
 (* -------- deferred retirement (the HP side of HP-RCU / HP-BRCU) ------ *)
 
-(** The deferred half of two-step retirement (Algorithm 4): called by the
-    epoch scheme's expired-task executor, possibly on any thread. *)
-let retire_deferred d ?free blk =
-  Segstack.push_one d.orphans { Retired.blk; free; stamp = 0; patches = [] };
-  Atomic.incr d.orphan_count
-
-(** Entry-passing variant for intrusive two-step retirement: the epoch
-    side drains its expired {!Retired.entry}s straight into this domain's
-    orphan list, no per-block closure anywhere on the path. *)
+(** The deferred half of two-step retirement (Algorithm 4), intrusive:
+    the epoch side's expired-task executor — possibly on any thread —
+    drains its {!Retired.entry}s straight into this domain's orphan list,
+    no per-block closure anywhere on the path. *)
 let retire_deferred_entry d (e : Retired.entry) =
   Segstack.push_one d.orphans e;
   Atomic.incr d.orphan_count
+
+(** Batched {!retire_deferred_entry} for a whole owned chain of expired
+    entries (HP-BRCU's BRCU half hands over every expired batch at once):
+    one CAS and one [orphan_count] add, no allocation.  The chain is
+    reversed in place first, so the orphan list — and every later scan's
+    reclaim order — is exactly what one {!retire_deferred_entry} per item,
+    in iteration order, would have built. *)
+let retire_deferred_chain d chain =
+  match chain with
+  | None -> ()
+  | Some _ ->
+      let n = Segstack.total chain in
+      Segstack.push_chain d.orphans (Segstack.rev chain);
+      ignore (Atomic.fetch_and_add d.orphan_count n : int)
 
 (** Scan if deferred retirements have piled up past the batch size. *)
 let maybe_scan h =

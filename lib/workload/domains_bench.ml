@@ -26,7 +26,10 @@
       a hot-path cost.
     - {b scalability} (ratio rows): only evaluated when the clamp leaves
       ≥ 2 usable cores; below that the ratio column is reported as null
-      and no ratio gate applies.
+      and no ratio gate applies.  Every cell runs {!reps} times and is
+      reported — and gated — by its median-throughput run: a single
+      short cell on a shared host swings by tens of percent, enough to
+      flip a 1-domain baseline and fail a healthy ratio.
 
     Cells are ops-limited, not duration-limited, so a run does the same
     work on any machine and the census is exact. *)
@@ -38,6 +41,9 @@ module Trace = Hpbrcu_runtime.Trace
 module Json = Report.Json
 
 let overhead_limit = 1.5
+
+(** Repetitions of every cell; the row is the median-throughput run. *)
+let reps = 3
 
 type cell = {
   scheme : string;
@@ -113,6 +119,24 @@ let run_one ~scheme ~ds ~threads ~mode ~ops_per_thread ~seed =
   in
   Matrix.run_cell ~ds ~scheme cell
 
+(* [median_run run] runs a cell {!reps} times, passing each result to
+   [check] while its allocator census is still current, and returns the
+   median-throughput result ([None] if the pair is excluded). *)
+let median_run ~check run =
+  let rs =
+    List.filter_map
+      (fun _ ->
+        let r = run () in
+        Option.iter check r;
+        r)
+      (List.init reps Fun.id)
+  in
+  match
+    List.sort (fun a b -> compare a.Spec.throughput b.Spec.throughput) rs
+  with
+  | [] -> None
+  | sorted -> Some (List.nth sorted (List.length sorted / 2))
+
 (** [clamp_threads ts] — the usable subset of the requested sweep:
     deduplicated, capped at the hardware's parallelism. *)
 let clamp_threads ts =
@@ -165,21 +189,34 @@ let sweep ?(schemes = all_scheme_names) ?(dss = default_dss)
           let base_tput = ref None in
           List.iter
             (fun threads ->
+              let name =
+                Printf.sprintf "%s/%s@%d" scheme (Caps.ds_name ds) threads
+              in
+              (* Every repetition is censused and UAF-checked; the row
+                 keeps the worst verdicts seen. *)
+              let census_ok = ref true and census_msg = ref "" in
+              let uaf = ref 0 in
+              let check (r : Spec.result) =
+                let ok, msg = census () in
+                if not ok then begin
+                  if !census_ok then census_msg := msg;
+                  census_ok := false;
+                  fail "%s census: %s" name msg
+                end;
+                if r.Spec.uaf <> 0 then fail "%s uaf=%d" name r.Spec.uaf;
+                uaf := max !uaf r.Spec.uaf
+              in
               match
-                run_one ~scheme ~ds ~threads ~mode:Spec.Domains
-                  ~ops_per_thread ~seed
+                median_run ~check (fun () ->
+                    run_one ~scheme ~ds ~threads ~mode:Spec.Domains
+                      ~ops_per_thread ~seed)
               with
               | None -> () (* pair excluded by the applicability matrix *)
               | Some r ->
-                  let census_ok, census_msg = census () in
-                  let name =
-                    Printf.sprintf "%s/%s@%d" scheme (Caps.ds_name ds) threads
-                  in
+                  let census_ok = !census_ok and census_msg = !census_msg in
                   progress
                     (Printf.sprintf "%-24s %10.1f ns/op%s" name (ns_per_op r)
                        (if census_ok then "" else "  CENSUS: " ^ census_msg));
-                  if not census_ok then fail "%s census: %s" name census_msg;
-                  if r.Spec.uaf <> 0 then fail "%s uaf=%d" name r.Spec.uaf;
                   let ratio =
                     match !base_tput with
                     | None ->
@@ -248,7 +285,7 @@ let sweep ?(schemes = all_scheme_names) ?(dss = default_dss)
                       throughput = r.Spec.throughput;
                       total_ops = r.Spec.total_ops;
                       peak_unreclaimed = r.Spec.peak_unreclaimed;
-                      uaf = r.Spec.uaf;
+                      uaf = !uaf;
                       census_ok;
                       census_msg;
                       ratio = (if multi then ratio else None);

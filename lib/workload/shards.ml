@@ -179,7 +179,7 @@ let run_build (module X : Hpbrcu_core.Smr_intf.SCHEME) ~(p : params) ~shared
        long before the writers' budgets drain. *)
     if (not reader) && p.substrate = `Domains then
       while not (Atomic.get victim_parked) do
-        Sched.yield ()
+        Sched.spin ()
       done;
     for _ = 1 to budget do
       if tid = 0 then
@@ -211,7 +211,7 @@ let run_build (module X : Hpbrcu_core.Smr_intf.SCHEME) ~(p : params) ~shared
       X.crit h (fun () ->
           Atomic.set victim_parked true;
           while Atomic.get writers_left > 0 do
-            Sched.yield ()
+            Sched.spin ()
           done);
       Sched.mark_crashed ~tid:0
     end

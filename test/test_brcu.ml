@@ -247,6 +247,189 @@ let test_hpbrcu_bound () =
     (Printf.sprintf "peak %d within 2GN+GN^2+H = %d" peak bound)
     true (peak <= bound)
 
+(* ---------------- HP-BRCU traverse (Algorithm 7) ---------------- *)
+
+module X = Hpbrcu_schemes.Hp_brcu.Impl
+module Signal = Hpbrcu_runtime.Signal
+module Smr = Hpbrcu_core.Smr_intf
+
+(* The walk: cursors are node indices 0 .. walk_n over a chain of blocks;
+   each step moves one node right and node [walk_n] is the destination.
+   With backup_period = 4 the checkpoints land on nodes 4 and 8, and the
+   Finish checkpoint on node 10.  Buffers alternate from the entry
+   point's [backup]: node 4 → prot, 8 → backup, 10 → prot. *)
+let walk_n = 10
+
+(* Where the test aims a rollback; each fires once. *)
+type aim =
+  | Never
+  | In_init  (** at init's read, before the entry point is protected *)
+  | Mid_step of int  (** inside the step leaving this node *)
+  | Torn_checkpoint of int
+      (** between the two protect stores of this node's checkpoint *)
+
+type walk = {
+  mutable validated : int list;  (** cursors revalidated, latest first *)
+  mutable stepped : int list;  (** cursors stepped from, latest first *)
+  mutable result : (int * bool * int) option;
+      (** destination, [true] if the winning buffer is [prot], answer *)
+  mutable raised : bool;  (** the traverse raised *)
+}
+
+(* Run one traverse in a single fiber (so shield stores are preemption
+   and delivery points, as in every simulated run) and report it together
+   with the domain's stats and the handle's section state afterwards.  A
+   rollback is a real delivery: the test posts a signal to the reader's
+   own box, and the next poll — a [deref] or the shield store — runs the
+   BRCU handler. *)
+let run_walk ?(aim = Never) ?(validate = fun _ -> true) ?(fail_at = -1)
+    ?(raise_at = -1) () =
+  reset ();
+  let d = X.create ~label:"walk" { Config.default with backup_period = 4 } in
+  let w = { validated = []; stepped = []; result = None; raised = false } in
+  let state = ref (false, -2) in
+  Fun.protect
+    ~finally:(fun () -> X.destroy ~force:true d)
+    (fun () ->
+      Sched.run (Sched.Fibers { seed = 1; switch_every = 1 }) ~nthreads:1
+        (fun _ ->
+          let h = X.register d in
+          let bh = X.brcu h in
+          let fired = ref false in
+          let hit () =
+            if not !fired then begin
+              fired := true;
+              ignore
+                (Signal.send bh.B.l.B.box ~is_out:(fun () -> false)
+                  : Signal.outcome)
+            end
+          in
+          let blks = Array.init (walk_n + 1) (fun _ -> Alloc.block ()) in
+          let prot = Array.init 2 (fun _ -> X.new_shield h) in
+          let backup = Array.init 2 (fun _ -> X.new_shield h) in
+          let protect sh c =
+            if aim = Torn_checkpoint c then hit ();
+            X.protect sh.(0) (Some blks.(c));
+            X.protect sh.(1) (Some blks.(c))
+          in
+          let init () =
+            if aim = In_init then hit ();
+            X.deref h blks.(0);
+            0
+          in
+          let step c =
+            w.stepped <- c :: w.stepped;
+            if aim = Mid_step c then hit ();
+            X.deref h blks.(c);
+            if c = raise_at then raise Exit;
+            if c = fail_at then Smr.Fail
+            else if c = walk_n then Smr.Finish (c, c * 7)
+            else Smr.Continue (c + 1)
+          in
+          let validate c =
+            w.validated <- c :: w.validated;
+            validate c
+          in
+          Fun.protect
+            ~finally:(fun () ->
+              state := (B.in_cs bh, Atomic.get bh.B.l.B.epoch);
+              Array.iter X.clear prot;
+              Array.iter X.clear backup;
+              X.unregister h)
+            (fun () ->
+              match
+                X.traverse h ~prot ~backup ~protect ~validate ~init ~step
+              with
+              | r ->
+                  w.result <-
+                    Option.map (fun (c, win, r) -> (c, win == prot, r)) r
+              | exception Exit -> w.raised <- true));
+      (w, X.stats d, !state))
+
+let check_out name (in_cs, epoch) =
+  Alcotest.(check bool) (name ^ ": status Out") false in_cs;
+  Alcotest.(check int) (name ^ ": epoch ⊥") (-1) epoch
+
+let result_t = Alcotest.(option (triple int bool int))
+
+(* On an n-node walk every node is stepped from once and the destination
+   once more; one body execution, no rollback. *)
+let test_traverse_counts () =
+  let w, st, state = run_walk () in
+  Alcotest.check result_t "reaches the destination in prot" (Some (10, true, 70))
+    w.result;
+  Alcotest.(check int) "traverses" 1 st.Stats.traverses;
+  Alcotest.(check int) "steps = n+1" (walk_n + 1) st.Stats.traverse_steps;
+  Alcotest.(check int) "resumes" 1 st.Stats.traverse_resumes;
+  Alcotest.(check int) "rollbacks" 0 st.Stats.rollbacks;
+  Alcotest.(check (list int)) "no revalidation" [] w.validated;
+  check_out "done" state
+
+(* A rollback at each point resumes from the last complete checkpoint:
+   re-init when the entry point was never fully protected, otherwise
+   revalidate the cursor that [comp] names and walk on from it. *)
+let test_traverse_rollback_resumes () =
+  let cases =
+    [
+      ("init", In_init, [], 0);
+      ("mid-step", Mid_step 6, [ 4 ], 4);
+      ("torn checkpoint", Torn_checkpoint 8, [ 4 ], 4);
+      ("finish checkpoint", Torn_checkpoint 10, [ 8 ], 8);
+    ]
+  in
+  List.iter
+    (fun (name, aim, revalidated, from) ->
+      let w, st, state = run_walk ~aim () in
+      Alcotest.check result_t (name ^ ": result") (Some (10, true, 70)) w.result;
+      Alcotest.(check int) (name ^ ": one rollback") 1 st.Stats.rollbacks;
+      Alcotest.(check int)
+        (name ^ ": resumes = 1 + rollbacks")
+        (1 + st.Stats.rollbacks) st.Stats.traverse_resumes;
+      Alcotest.(check (list int)) (name ^ ": revalidated") revalidated
+        w.validated;
+      (* The walk after the rollback starts from [from] and runs straight
+         to the destination. *)
+      let after = List.rev (List.filteri (fun i _ -> i <= walk_n - from) w.stepped) in
+      Alcotest.(check (list int))
+        (name ^ ": walks on from the checkpoint")
+        (List.init (walk_n - from + 1) (fun i -> from + i))
+        after;
+      check_out name state)
+    cases
+
+(* Every way out other than Finish leaves the section cleanly: status
+   Out and epoch ⊥, so the reader no longer holds back reclamation. *)
+let test_traverse_exits_clean () =
+  let w, _, state = run_walk ~fail_at:5 () in
+  Alcotest.check result_t "Fail: None" None w.result;
+  check_out "Fail" state;
+  let w, st, state = run_walk ~aim:(Mid_step 6) ~validate:(fun _ -> false) () in
+  Alcotest.check result_t "failed validation: None" None w.result;
+  Alcotest.(check (list int)) "revalidated the checkpoint" [ 4 ] w.validated;
+  Alcotest.(check int) "validate_failures" 1 st.Stats.validate_failures;
+  check_out "failed validation" state;
+  let w, st, state = run_walk ~raise_at:5 () in
+  Alcotest.(check bool) "raising step: propagates" true w.raised;
+  Alcotest.(check int) "raising step: steps still counted" 6
+    st.Stats.traverse_steps;
+  check_out "raising step" state
+
+let test_poll_no_alloc () =
+  reset ();
+  with_brcu (fun bd ->
+      let h = B.register bd in
+      B.poll h;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        B.poll h
+      done;
+      let w1 = Gc.minor_words () in
+      B.unregister h;
+      Alcotest.(check bool)
+        (Printf.sprintf "10k polls allocate %.0f minor words" (w1 -. w0))
+        true
+        (w1 -. w0 < 16.))
+
 let () =
   Alcotest.run "brcu"
     [
@@ -263,4 +446,12 @@ let () =
           Alcotest.test_case "defer-waits" `Quick test_defer_waits_for_cs;
         ] );
       ("bound", [ Alcotest.test_case "2GN+GN2+H" `Quick test_hpbrcu_bound ]);
+      ( "traverse",
+        [
+          Alcotest.test_case "counts" `Quick test_traverse_counts;
+          Alcotest.test_case "rollback-resumes" `Quick
+            test_traverse_rollback_resumes;
+          Alcotest.test_case "exits-clean" `Quick test_traverse_exits_clean;
+          Alcotest.test_case "poll-no-alloc" `Quick test_poll_no_alloc;
+        ] );
     ]
