@@ -33,16 +33,18 @@ module Ds = Hpbrcu_ds
 (* ------------------------------------------------------------------ *)
 
 (* Build per-scheme closures for each operation kernel.  Fixtures are
-   created eagerly (prefilled structures + a session on this thread). *)
+   created eagerly (prefilled structures + a session on this thread), all
+   on one domain per scheme that lives as long as the process. *)
 
-module Kernels (S : Hpbrcu_core.Smr_intf.S) = struct
-  module L = Ds.Harris_list.Make_hhs (S)
-  module LM = Ds.Hm_list.Make (S)
-  module H = Ds.Hashmap.Make_gen (Ds.Harris_list.Make_hhs) (S)
-  module SL = Ds.Skiplist.Make (S)
-  module T = Ds.Nmtree.Make (S)
+module Kernels (X : Hpbrcu_core.Smr_intf.SCHEME) = struct
+  module L = Ds.Harris_list.Make_hhs (X)
+  module LM = Ds.Hm_list.Make (X)
+  module H = Ds.Hashmap.Make_gen (Ds.Harris_list.Make_hhs) (X)
+  module SL = Ds.Skiplist.Make (X)
+  module T = Ds.Nmtree.Make (X)
 
-  let hp_like = S.name = "HP"
+  let dom = X.create ~label:"micro" Config.default
+  let hp_like = X.scheme = "HP"
 
   let prefill_list insert range =
     let rng = Rng.create ~seed:77 in
@@ -57,13 +59,13 @@ module Kernels (S : Hpbrcu_core.Smr_intf.S) = struct
     let range = 1024 in
     let rng = Rng.create ~seed:3 in
     if hp_like then begin
-      let t = LM.create () in
+      let t = LM.create dom in
       let s = LM.session t in
       prefill_list (fun k -> LM.insert t s k 0) range;
       fun () -> ignore (LM.get t s (Rng.int rng range) : bool)
     end
     else begin
-      let t = L.create () in
+      let t = L.create dom in
       let s = L.session t in
       prefill_list (fun k -> L.insert t s k 0) range;
       fun () -> ignore (L.get t s (Rng.int rng range) : bool)
@@ -74,13 +76,13 @@ module Kernels (S : Hpbrcu_core.Smr_intf.S) = struct
     let range = 8192 in
     let rng = Rng.create ~seed:4 in
     if hp_like then begin
-      let t = LM.create () in
+      let t = LM.create dom in
       let s = LM.session t in
       prefill_list (fun k -> LM.insert t s k 0) range;
       fun () -> ignore (LM.get t s (Rng.int rng range) : bool)
     end
     else begin
-      let t = L.create () in
+      let t = L.create dom in
       let s = L.session t in
       prefill_list (fun k -> L.insert t s k 0) range;
       fun () -> ignore (L.get t s (Rng.int rng range) : bool)
@@ -90,7 +92,7 @@ module Kernels (S : Hpbrcu_core.Smr_intf.S) = struct
   let hashmap_update () =
     let range = 16384 in
     let rng = Rng.create ~seed:5 in
-    let t = H.create_sized (range / 4) in
+    let t = H.create_sized dom (range / 4) in
     let s = H.session t in
     prefill_list (fun k -> H.insert t s k 0) range;
     fun () ->
@@ -102,7 +104,7 @@ module Kernels (S : Hpbrcu_core.Smr_intf.S) = struct
   let skiplist_mix () =
     let range = 4096 in
     let rng = Rng.create ~seed:6 in
-    let t = SL.create () in
+    let t = SL.create dom in
     let s = SL.session t in
     prefill_list (fun k -> SL.insert t s k 0) range;
     fun () ->
@@ -116,7 +118,7 @@ module Kernels (S : Hpbrcu_core.Smr_intf.S) = struct
   let nmtree_mix () =
     let range = 4096 in
     let rng = Rng.create ~seed:7 in
-    let t = T.create () in
+    let t = T.create dom in
     let s = T.session t in
     prefill_list (fun k -> T.insert t s k 0) range;
     fun () ->
@@ -128,34 +130,21 @@ module Kernels (S : Hpbrcu_core.Smr_intf.S) = struct
 
   (* Primitive kernels (Table 2 rows). *)
   let prim_crit () =
-    let h = S.register () in
-    fun () -> S.crit h (fun () -> ())
+    let h = X.register dom in
+    fun () -> X.crit h (fun () -> ())
 
   let prim_protect () =
-    let h = S.register () in
-    let sh = S.new_shield h in
+    let h = X.register dom in
+    let sh = X.new_shield h in
     let b = Alloc.block () in
-    fun () -> S.protect sh (Some b)
+    fun () -> X.protect sh (Some b)
 
   let prim_retire_cycle () =
-    let h = S.register () in
+    let h = X.register dom in
     fun () ->
       let b = Alloc.block () in
-      S.retire h b
+      X.retire h b
 end
-
-let micro_schemes =
-  [
-    ("NR", (module Schemes.NR : Hpbrcu_core.Smr_intf.S));
-    ("RCU", (module Schemes.RCU));
-    ("HP", (module Schemes.HP));
-    ("HP++", (module Schemes.HPPP));
-    ("PEBR", (module Schemes.PEBR));
-    ("NBR", (module Schemes.NBR));
-    ("VBR", (module Schemes.VBR));
-    ("HP-RCU", (module Schemes.HP_RCU));
-    ("HP-BRCU", (module Schemes.HP_BRCU));
-  ]
 
 module type KERNELS = sig
   val list_read : unit -> unit -> unit
@@ -168,16 +157,22 @@ module type KERNELS = sig
   val prim_retire_cycle : unit -> unit -> unit
 end
 
+let micro_kernels =
+  lazy
+    (List.map
+       (fun sname ->
+         let (module X), _ = W.Matrix.find_scheme sname in
+         (sname, (module Kernels (X) : KERNELS)))
+       [ "NR"; "RCU"; "HP"; "HP++"; "PEBR"; "NBR"; "VBR"; "HP-RCU"; "HP-BRCU" ])
+
 let group name pick =
   let tests =
     List.filter_map
-      (fun (sname, s) ->
-        let module S = (val s : Hpbrcu_core.Smr_intf.S) in
-        let module K = Kernels (S) in
-        match pick (module K : KERNELS) sname with
+      (fun (sname, k) ->
+        match pick k sname with
         | Some mk -> Some (Test.make ~name:sname (Staged.stage (mk ())))
         | None -> None)
-      micro_schemes
+      (Lazy.force micro_kernels)
   in
   Test.make_grouped ~name tests
 
@@ -224,39 +219,25 @@ let run_micro () =
 (* Part 3: ablations                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let base_small =
-  { Config.default with batch = 32; max_local_tasks = 16; backup_period = 32; max_steps = 32 }
-
-let longrun_with (module S : Hpbrcu_core.Smr_intf.S) ?(hp = false) range =
-  Schemes.reset_all ();
-  S.reset ();
-  Alloc.reset ();
-  Alloc.set_strict false;
+let longrun_with (module X : Hpbrcu_core.Smr_intf.SCHEME) config range =
   let cfg =
     W.Longrun.config ~key_range:range ~readers:4 ~writers:4 ~duration:0.25
       ~mode:(W.Spec.Fibers 7) ~seed:42 ()
   in
-  if hp then
-    let module L = Ds.Hm_list.Make (S) in
-    let module R = W.Longrun.Run (L) in
-    R.go cfg ~scheme_stats:S.stats
-  else
-    let module L = Ds.Harris_list.Make_hhs (S) in
-    let module R = W.Longrun.Run (L) in
-    R.go cfg ~scheme_stats:S.stats
+  let module R = W.Longrun.Run (X) (Ds.Harris_list.Make_hhs (X)) in
+  R.go cfg ~config
 
 let ablation_max_steps () =
   Fmt.pr "@.== ablation: HP-RCU max_steps (range 4096) ==@.";
   Fmt.pr "  %-10s %12s %8s@." "max_steps" "reads Mop/s" "peak";
   List.iter
     (fun ms ->
-      let module S =
-        Hpbrcu_schemes.Hp_rcu.Make (struct
-          let config = { base_small with Config.max_steps = ms }
-        end)
-        ()
+      let o =
+        longrun_with
+          (module Hpbrcu_schemes.Hp_rcu.Impl)
+          { Schemes.small_cfg with Config.max_steps = ms }
+          4096
       in
-      let o = longrun_with (module S) 4096 in
       Fmt.pr "  %-10d %12.4f %8d@." ms o.W.Longrun.reader_tput
         o.W.Longrun.peak_unreclaimed)
     [ 4; 16; 64; 256; 4096 ]
@@ -266,13 +247,12 @@ let ablation_backup_period () =
   Fmt.pr "  %-10s %12s %8s %10s@." "period" "reads Mop/s" "peak" "rollbacks";
   List.iter
     (fun bp ->
-      let module S =
-        Hpbrcu_schemes.Hp_brcu.Make (struct
-          let config = { base_small with Config.backup_period = bp }
-        end)
-        ()
+      let o =
+        longrun_with
+          (module Hpbrcu_schemes.Hp_brcu.Impl)
+          { Schemes.small_cfg with Config.backup_period = bp }
+          4096
       in
-      let o = longrun_with (module S) 4096 in
       Fmt.pr "  %-10d %12.4f %8d %10d@." bp o.W.Longrun.reader_tput
         o.W.Longrun.peak_unreclaimed o.W.Longrun.scheme.Stats.rollbacks)
     [ 4; 16; 64; 256; 4096 ]
@@ -282,13 +262,12 @@ let ablation_force_threshold () =
   Fmt.pr "  %-10s %12s %8s %10s@." "threshold" "reads Mop/s" "peak" "signals";
   List.iter
     (fun ft ->
-      let module S =
-        Hpbrcu_schemes.Hp_brcu.Make (struct
-          let config = { base_small with Config.force_threshold = ft }
-        end)
-        ()
+      let o =
+        longrun_with
+          (module Hpbrcu_schemes.Hp_brcu.Impl)
+          { Schemes.small_cfg with Config.force_threshold = ft }
+          4096
       in
-      let o = longrun_with (module S) 4096 in
       Fmt.pr "  %-10d %12.4f %8d %10d@." ft o.W.Longrun.reader_tput
         o.W.Longrun.peak_unreclaimed o.W.Longrun.scheme.Stats.signals)
     [ 1; 2; 8; 32; 1024 ]
@@ -298,13 +277,12 @@ let ablation_nbr_batch () =
   Fmt.pr "  %-10s %12s %8s %10s@." "batch" "reads Mop/s" "peak" "signals";
   List.iter
     (fun b ->
-      let module S =
-        Hpbrcu_schemes.Nbr.Make (struct
-          let config = { base_small with Config.batch = b }
-        end)
-        ()
+      let o =
+        longrun_with
+          (module Hpbrcu_schemes.Nbr.Impl)
+          { Schemes.small_cfg with Config.batch = b }
+          2048
       in
-      let o = longrun_with (module S) 2048 in
       Fmt.pr "  %-10d %12.4f %8d %10d@." b o.W.Longrun.reader_tput
         o.W.Longrun.peak_unreclaimed o.W.Longrun.scheme.Stats.signals)
     [ 32; 128; 1024; 8192 ]
@@ -318,21 +296,17 @@ let ablation_double_buffering () =
      single-buffered protector within the measurement window. *)
   List.iter
     (fun db ->
-      let module S =
-        Hpbrcu_schemes.Hp_brcu.Make (struct
-          let config =
-            {
-              base_small with
-              Config.double_buffering = db;
-              force_threshold = 1;
-              max_local_tasks = 4;
-              backup_period = 4;
-            }
-        end)
-        ()
+      let config =
+        {
+          Schemes.small_cfg with
+          Config.double_buffering = db;
+          force_threshold = 1;
+          max_local_tasks = 4;
+          backup_period = 4;
+        }
       in
       Sched.set_stall_inject ~period:500 ~ticks:50000;
-      let o = longrun_with (module S) 2048 in
+      let o = longrun_with (module Hpbrcu_schemes.Hp_brcu.Impl) config 2048 in
       Sched.set_stall_inject ~period:0 ~ticks:0;
       Fmt.pr "  %-10s %12.4f %8d %12d@."
         (if db then "double" else "single")
@@ -346,27 +320,20 @@ let ablation_double_buffering () =
 let ablation_stalls () =
   Fmt.pr "@.== extension: stalled readers (stall injected mid-operation) ==@.";
   Fmt.pr "  %-10s %12s %8s@." "scheme" "reads Mop/s" "peak";
-  let run name (module S : Hpbrcu_core.Smr_intf.S) =
-    Schemes.reset_all ();
-    S.reset ();
-    Alloc.reset ();
-    Alloc.set_strict false;
-    let module L = Ds.Harris_list.Make_hhs (S) in
-    let module R = W.Longrun.Run (L) in
+  let run name =
+    let (module X), config = W.Matrix.find_scheme ~tuning:`Small name in
+    let module R = W.Longrun.Run (X) (Ds.Harris_list.Make_hhs (X)) in
     Sched.set_stall_inject ~period:2000 ~ticks:20000;
     let cfg =
       W.Longrun.config ~key_range:2048 ~readers:4 ~writers:4 ~duration:0.25
         ~mode:(W.Spec.Fibers 13) ~seed:21 ()
     in
-    let o = R.go cfg ~scheme_stats:S.stats in
+    let o = R.go cfg ~config in
     Sched.set_stall_inject ~period:0 ~ticks:0;
     Fmt.pr "  %-10s %12.4f %8d@." name o.W.Longrun.reader_tput
       o.W.Longrun.peak_unreclaimed
   in
-  run "RCU" (module Schemes.Small.RCU);
-  run "HP-RCU" (module Schemes.Small.HP_RCU);
-  run "HP-BRCU" (module Schemes.Small.HP_BRCU);
-  run "HP" (module Schemes.Small.HP)
+  List.iter run [ "RCU"; "HP-RCU"; "HP-BRCU"; "HP" ]
 
 let run_ablations () =
   ablation_max_steps ();

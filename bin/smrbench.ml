@@ -195,18 +195,13 @@ let longrun_cmd =
             ~writers:p.W.Figures.longrun_threads
             ~duration:p.W.Figures.duration ~mode ~seed:p.W.Figures.seed ()
         in
-        (match W.Longrun.run_traced ~scheme ~out c with
-        | Some o ->
-            Printf.printf
-              "wrote %s (%s, range %d, reader %.3f / writer %.3f Mop/s, peak \
-               unreclaimed %d)\n"
-              out scheme range o.W.Longrun.reader_tput o.W.Longrun.writer_tput
-              o.W.Longrun.peak_unreclaimed;
-            0
-        | None ->
-            Printf.eprintf "%s does not run the long-running benchmark\n"
-              scheme;
-            1)
+        let o = W.Longrun.run_traced ~scheme ~out c in
+        Printf.printf
+          "wrote %s (%s, range %d, reader %.3f / writer %.3f Mop/s, peak \
+           unreclaimed %d)\n"
+          out scheme range o.W.Longrun.reader_tput o.W.Longrun.writer_tput
+          o.W.Longrun.peak_unreclaimed;
+        0
     | None ->
         (match scheme with
         | None -> W.Figures.fig1 p
@@ -876,22 +871,18 @@ let sample_cmd =
         seed;
       }
     in
-    match S.run p with
-    | None ->
-        Printf.eprintf "%s does not run the sampler workload\n" scheme;
-        1
-    | Some o ->
-        Fmt.pr "%a@." S.pp o;
-        S.to_csv out o;
-        Printf.printf "wrote %s\n" out;
-        (match json with
-        | Some j ->
-            S.to_json j o;
-            Printf.printf "wrote %s\n" j
-        | None -> ());
-        S.record o;
-        W.Report.write_stats_json ();
-        if o.S.uaf = 0 then 0 else 1
+    let o = S.run p in
+    Fmt.pr "%a@." S.pp o;
+    S.to_csv out o;
+    Printf.printf "wrote %s\n" out;
+    (match json with
+    | Some j ->
+        S.to_json j o;
+        Printf.printf "wrote %s\n" j
+    | None -> ());
+    S.record o;
+    W.Report.write_stats_json ();
+    if o.S.uaf = 0 then 0 else 1
   in
   Cmd.v
     (Cmd.info "sample"

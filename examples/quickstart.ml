@@ -5,16 +5,19 @@
    The pattern is always the same:
      1. pick a scheme module (here the paper's full solution, HP-BRCU);
      2. instantiate a data structure functor with it;
-     3. per thread: open a session, run operations, close the session;
-     4. the allocator's counters show retirement/reclamation behaviour. *)
+     3. create a reclamation domain and a structure over it;
+     4. per thread: open a session, run operations, close the session;
+     5. the allocator's counters show retirement/reclamation behaviour;
+     6. destroy the domain once the last session has closed. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
-module Scheme = Hpbrcu_schemes.Schemes.HP_BRCU
+module Scheme = Hpbrcu_schemes.Hp_brcu.Impl
 module List_set = Hpbrcu_ds.Harris_list.Make_hhs (Scheme)
 
 let () =
-  let set = List_set.create () in
+  let dom = Scheme.create Hpbrcu_core.Config.default in
+  let set = List_set.create dom in
 
   (* Single-threaded taste. *)
   let s = List_set.session set in
@@ -43,7 +46,8 @@ let () =
 
   let st = Alloc.stats () in
   Fmt.pr "allocator: %a@." Alloc.pp_stats st;
-  Fmt.pr "scheme:    %a@." Hpbrcu_runtime.Stats.pp (Scheme.stats ());
+  Fmt.pr "scheme:    %a@." Hpbrcu_runtime.Stats.pp (Scheme.stats dom);
   assert (st.Alloc.uaf = 0);
+  Scheme.destroy dom;
   Fmt.pr "quickstart OK: no use-after-free, %d blocks reclaimed@."
     st.Alloc.reclaimed

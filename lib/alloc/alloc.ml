@@ -63,9 +63,8 @@ let set_poisoning b = Atomic.set poisoning b
     ({!Block.set_owner}) and {!reclaim} debits the slot, so every domain
     gets its own retired-but-unreclaimed counter with a peak — the
     measurement the shard-isolation experiment is about.  Slot 0 is the
-    "no owner" slot (blocks retired outside any domain, or by the global
-    compatibility surface before it allocates a slot) and is never handed
-    out.  Slots are recycled through a free bitmap at domain destroy, so
+    "no owner" slot (blocks retired outside any domain) and is never
+    handed out.  Slots are recycled through a free bitmap at domain destroy, so
     thousands of short-lived cells cannot exhaust the table. *)
 module Owner = struct
   let max_owners = 512
@@ -123,13 +122,6 @@ module Owner = struct
           :: !acc
     done;
     !acc
-
-  let reset_all () =
-    for i = 1 to max_owners - 1 do
-      Hpbrcu_runtime.Counter.reset counters.(i);
-      labels.(i) <- "";
-      Atomic.set in_use.(i) false
-    done
 end
 
 (** Allocation backpressure (DESIGN.md §13).
@@ -233,8 +225,7 @@ let reset () =
   Atomic.set Admission.waits 0;
   Atomic.set Admission.rejects 0;
   (* Per-domain watermarks restart with the cell too, but the slots stay
-     claimed: long-lived domains (the compat Default domains in
-     particular) survive across cells. *)
+     claimed: a live domain keeps its slot until it is destroyed. *)
   Array.iteri
     (fun i used ->
       if i > 0 && Atomic.get used then
@@ -242,8 +233,8 @@ let reset () =
     Owner.in_use
 
 (** Zero every per-domain watermark slot {e without} freeing the slots:
-    cells re-measure inside long-lived domains.  Full slot release happens
-    at domain destroy; {!Owner.reset_all} is for whole-process resets. *)
+    a measurement window re-measures inside live domains.  Slots are
+    released at domain destroy. *)
 let reset_owner_peaks () =
   List.iter (fun (i, _, _, _) -> Owner.reset_peak i) (Owner.snapshot ())
 

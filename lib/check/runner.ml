@@ -29,7 +29,6 @@ module Trace = Hpbrcu_runtime.Trace
 module Fault = Hpbrcu_runtime.Fault
 module Signal = Hpbrcu_runtime.Signal
 module Caps = Hpbrcu_core.Caps
-module Schemes = Hpbrcu_schemes.Schemes
 module Registry = Hpbrcu_schemes.Registry
 module Matrix = Hpbrcu_workload.Matrix
 module Chaos = Hpbrcu_workload.Chaos
@@ -66,50 +65,52 @@ let pp_outcome ppf (o : outcome) =
 
 module Smr_intf = Hpbrcu_core.Smr_intf
 
-(* The hunt's ds dispatch, following the chaos harness: HP cannot traverse
-   optimistically and drives HMList; everyone else gets the
-   harris-herlihy-shavit list, whose multi-node marked chains are what
-   make an aborted [retire_chain] observable.  Each case binds a FRESH
-   domain of its scheme — or, under the "+shards" topology variant, one
-   domain per shard of the sharded map — and hands the continuation a
-   [teardown] that force-destroys it: since the first-class-domain
-   redesign, destroy-at-census replaces the legacy whole-scheme [reset],
-   and cross-case state bleed is impossible by construction.  [sentinels]
-   is the map's head-block count for the leak equation. *)
-let with_map (module X : Smr_intf.SCHEME) ~config ~sharded
+(** A case's map, built: the operations and the one instance the case
+    drives. *)
+module type CASE_MAP = sig
+  include Ds.Ds_intf.OPS
+
+  val map : t
+end
+
+(* The hunt's ds dispatch, following the chaos harness: the list
+   {!Matrix.bucket_list} picks (HMList under HP, which cannot traverse
+   optimistically; otherwise the harris-herlihy-shavit list, whose
+   multi-node marked chains are what make an aborted [retire_chain]
+   observable).  Each case builds its map on a FRESH domain of its scheme
+   — or, under the "+shards" topology variant, on one domain per shard of
+   the sharded map — and hands the continuation a [teardown] that
+   force-destroys it: destroy-at-census closes the books, and cross-case
+   state bleed is impossible by construction.  [sentinels] is the map's
+   head-block count for the leak equation. *)
+let with_map (((module X : Smr_intf.SCHEME), config) as s) ~sharded
     (k :
-      (module Ds.Ds_intf.MAP) ->
+      (module CASE_MAP) ->
       sentinels:int ->
       teardown:(unit -> unit) ->
       subjects:Watchdog.subject list ->
       'a) : 'a =
+  let module B = (val Matrix.buckets s) in
   if sharded then begin
-    let module M =
-      Ds.Sharded_hashmap.As_map
-        (X)
-        (struct
-          let config = config
-          let shards = 4
-          let buckets_per_shard = 8
-          let label = "hunt"
-        end)
-    in
-    Fun.protect ~finally:M.destroy_created (fun () ->
+    let module Sh = Ds.Sharded_hashmap.Make_gen (B) (X) in
+    let buckets_per_shard = 8 in
+    let m = Sh.create ~label:"hunt" ~shards:4 ~buckets_per_shard config in
+    (* [Sh.destroy] skips dead domains, so the census teardown and the
+       protecting [finally] may both run it. *)
+    let teardown () = Sh.destroy ~force:true m in
+    Fun.protect ~finally:teardown (fun () ->
         k
-          (module M : Ds.Ds_intf.MAP)
-          ~sentinels:M.sentinels ~teardown:M.destroy_created ~subjects:[])
+          (module struct
+            include Sh
+
+            let map = m
+          end)
+          ~sentinels:(Sh.shard_count m * buckets_per_shard)
+          ~teardown ~subjects:[])
   end
   else begin
-    let caps = X.caps config in
     let d = X.create ~label:"hunt" config in
-    let module S =
-      Smr_intf.Bind
-        (X)
-        (struct
-          let it = d
-        end)
-    in
-    (* Destroy raises the typed [Destroyed] on a second call now, and this
+    (* Destroy raises the typed [Destroyed] on a second call, and this
        teardown legitimately runs twice (once at census, once from the
        protecting [finally]) — gate on the lifecycle flag. *)
     let teardown () =
@@ -122,15 +123,15 @@ let with_map (module X : Smr_intf.SCHEME) ~config ~sharded
     let subjects =
       [ Sup.subject ~id:0 ~label:"hunt" ~current:(fun () -> d) () ]
     in
+    let module L = B (X) in
     Fun.protect ~finally:teardown (fun () ->
-        if X.scheme = "HP" || caps.Caps.supports Caps.HHSList = Caps.No then
-          k
-            (module Ds.Hm_list.Make (S) : Ds.Ds_intf.MAP)
-            ~sentinels:1 ~teardown ~subjects
-        else
-          k
-            (module Ds.Harris_list.Make_hhs (S) : Ds.Ds_intf.MAP)
-            ~sentinels:1 ~teardown ~subjects)
+        k
+          (module struct
+            include L
+
+            let map = L.create d
+          end)
+          ~sentinels:1 ~teardown ~subjects)
   end
 
 let plan_has_signal_faults (pl : Fault.plan) =
@@ -146,16 +147,14 @@ let plan_has_signal_faults (pl : Fault.plan) =
     byte-identical replay checks. *)
 let run ?(traced = false) (case : case) : outcome * Trace.record list =
   let spec = case.spec in
-  let impl, config = Matrix.find_hunt_impl case.scheme in
-  let (module X : Smr_intf.SCHEME) = impl in
+  let ((module X : Smr_intf.SCHEME), _) as s =
+    Matrix.find_hunt_impl case.scheme
+  in
   let sharded = Matrix.is_sharded case.scheme in
-  let caps = X.caps config in
+  let caps = Matrix.caps s in
   let p = case.p in
   let nthreads = p.Chaos.readers + p.Chaos.writers in
   let bound = caps.Caps.bound ~nthreads in
-  (* Reset BEFORE arming the tracer (same rule as the chaos harness):
-     draining the previous case's leftovers must not pollute the log. *)
-  Schemes.reset_all ();
   Alloc.reset ();
   Alloc.set_strict false;
   Alloc.set_poisoning true;
@@ -166,9 +165,9 @@ let run ?(traced = false) (case : case) : outcome * Trace.record list =
     if traced then Trace.disable ()
   in
   match
-    with_map (module X) ~config ~sharded (fun (module L : Ds.Ds_intf.MAP)
-                                              ~sentinels ~teardown ~subjects ->
-        let t = L.create () in
+    with_map s ~sharded (fun (module L : CASE_MAP) ~sentinels ~teardown
+                             ~subjects ->
+        let t = L.map in
         (* Prefill runs outside fiber mode: fault counters and schedule
            decisions must index the workload proper. *)
         let s = L.session t in

@@ -1,43 +1,35 @@
 (** The unified safe-memory-reclamation interface.
 
-    Since the first-class-domain redesign this file defines {e two}
-    surfaces:
+    {!SCHEME} is the one scheme surface.  A scheme is a set of operations
+    over an explicit [domain] {e value} ({!SCHEME.create} /
+    {!SCHEME.destroy}), in the style of P0484's [rcu_domain] and Hyaline's
+    per-structure contexts: registries, epochs, retired queues, signal
+    routing and statistics all hang off the domain, so one process can run
+    any number of independent instances of the same scheme.  Every data
+    structure in [lib/ds] is a functor over {!SCHEME} whose [create] takes
+    the domain it reclaims into, and every harness creates the domains of
+    its cell and destroys them when the cell ends.
 
-    - {!SCHEME} — the primary one.  A scheme is a set of operations over an
-      explicit [domain] {e value} ({!SCHEME.create} /{!SCHEME.destroy}), in
-      the style of P0484's [rcu_domain] and Hyaline's per-structure
-      contexts: registries, epochs, retired queues, signal routing and
-      statistics all hang off the domain, so one process can run any number
-      of independent instances of the same scheme (the sharded-service
-      architecture in [lib/ds/sharded_hashmap.ml] depends on exactly this).
-    - {!S} — the legacy single-global surface every data structure in
-      [lib/ds] is a functor over.  It is now a thin veneer produced by
-      {!Globalize} (one hidden default domain per functor application) or
-      {!Bind} (borrowing a caller-owned domain), kept so the harness and
-      the DS functors did not need a flag-day rewrite.  Its [reset] is the
-      compatibility shim for the old between-cells protocol and must not
-      gain new call sites (check.sh greps for them).
+    The phase discipline underneath is what the paper compares:
 
-    The phase discipline underneath is unchanged and is what the paper
-    compares:
-
-    - {!S.op} wraps a whole operation.  EBR pins an epoch for its entire
-      extent; VBR/PEBR put their announce-and-retry loop here; others are
-      transparent retry-on-{!S.Restart} loops.
-    - {!S.read} mediates every traversal link load.  HP-family schemes run
-      the ProtectFrom protect/fence/revalidate loop (Algorithm 1) here —
-      the "per-node overhead" of Table 2; coarse schemes do a plain load
+    - {!SCHEME.op} wraps a whole operation.  EBR pins an epoch for its
+      entire extent; VBR/PEBR put their announce-and-retry loop here;
+      others are transparent retry-on-{!SCHEME.Restart} loops.
+    - {!SCHEME.read} mediates every traversal link load.  HP-family schemes
+      run the ProtectFrom protect/fence/revalidate loop (Algorithm 1) here
+      — the "per-node overhead" of Table 2; coarse schemes do a plain load
       (plus signal poll and use-after-free check).
-    - {!S.traverse} is the paper's Traverse combinator (Algorithm 7).  Each
-      scheme instantiates its phase structure: a single unbounded critical
-      section (RCU), per-[max_steps] alternation (HP-RCU, Algorithm 3),
-      rollback-and-resume with double-buffered checkpoints (HP-BRCU), or
-      restart-from-entry (NBR) — which is precisely the difference that
-      produces the paper's long-running-operation results.
-    - {!S.crit} / {!S.mask} expose critical sections and abort-masked
-      regions (Algorithms 5–6) for code written directly against a scheme.
-    - {!S.retire} hands a block to the scheme; HP-(B)RCU implements it as
-      the two-step defer-then-hp-retire (Algorithm 4).  Retirement is
+    - {!SCHEME.traverse} is the paper's Traverse combinator (Algorithm 7).
+      Each scheme instantiates its phase structure: a single unbounded
+      critical section (RCU), per-[max_steps] alternation (HP-RCU,
+      Algorithm 3), rollback-and-resume with double-buffered checkpoints
+      (HP-BRCU), or restart-from-entry (NBR) — which is precisely the
+      difference that produces the paper's long-running-operation results.
+    - {!SCHEME.crit} / {!SCHEME.mask} expose critical sections and
+      abort-masked regions (Algorithms 5–6) for code written directly
+      against a scheme.
+    - {!SCHEME.retire} hands a block to the scheme; HP-(B)RCU implements
+      it as the two-step defer-then-hp-retire (Algorithm 4).  Retirement is
       {e intrusive}: the deferred work is recorded as a
       {!Hpbrcu_alloc.Block.t} plus an epoch stamp in a preallocated entry
       (P0484's [rcu_obj_base] header, not a per-retire closure), and the
@@ -45,10 +37,11 @@
       the right domain's unreclaimed watermark at reclaim time.
 
     Concurrency/rollback contract: scheme methods may raise two exceptions.
-    [Rollback] (scheme-internal) unwinds to the nearest {!S.crit}; {!S.Restart}
-    unwinds to {!S.op}.  Data-structure code must therefore be
-    abort-rollback-safe inside critical sections (paper R3): shared-memory
-    writes that cannot be repeated go inside {!S.mask}. *)
+    [Rollback] (scheme-internal) unwinds to the nearest {!SCHEME.crit};
+    {!SCHEME.Restart} unwinds to {!SCHEME.op}.  Data-structure code must
+    therefore be abort-rollback-safe inside critical sections (paper R3):
+    shared-memory writes that cannot be repeated go inside
+    {!SCHEME.mask}. *)
 
 module Block = Hpbrcu_alloc.Block
 module Alloc = Hpbrcu_alloc.Alloc
@@ -226,8 +219,13 @@ module type SCHEME = sig
   (** Raises {!Dom.Destroyed} on a destroyed domain. *)
 
   val unregister : handle -> unit
+  (** Drain the handle's deferred work (best effort) and release its
+      slots. *)
 
   val flush : handle -> unit
+  (** Force-drain this handle's retired/deferred batches so that, once all
+      handles have flushed and unregistered, every retired block can be
+      reclaimed.  Harnesses call it at the end of a measurement window. *)
 
   val expedite : handle -> unit
   (** Supervision entry ({!Supervise}'s nudge rung): like {!flush}, but
@@ -244,95 +242,7 @@ module type SCHEME = sig
   type shield
 
   val new_shield : handle -> shield
-  val protect : shield -> Block.t option -> unit
-  val clear : shield -> unit
 
-  (** {1 Phases} *)
-
-  exception Restart
-
-  val op : handle -> (unit -> 'a) -> 'a
-  val crit : handle -> (unit -> 'a) -> 'a
-  val mask : handle -> (unit -> 'a) -> 'a
-
-  (** {1 Mediated memory accesses} *)
-
-  val read :
-    handle -> shield -> ?src:Block.t -> hdr:('n -> Block.t) -> 'n Link.cell -> 'n Link.t
-
-  val deref : handle -> Block.t -> unit
-
-  (** {1 Retirement and allocation} *)
-
-  val retire :
-    handle ->
-    ?free:(unit -> unit) ->
-    ?patch:Block.t list ->
-    ?claimed:bool ->
-    Block.t ->
-    unit
-
-  val recycles : bool
-
-  val current_era : domain -> int
-
-  (** {1 Traversal} *)
-
-  val traverse :
-    handle ->
-    prot:shield array ->
-    backup:shield array ->
-    protect:(shield array -> 'c -> unit) ->
-    validate:('c -> bool) ->
-    init:(unit -> 'c) ->
-    step:('c -> ('c, 'r) step_result) ->
-    ('c * shield array * 'r) option
-
-  (** {1 Introspection} *)
-
-  val stats : domain -> Hpbrcu_runtime.Stats.snapshot
-  (** Typed counters for this domain only, identified by
-      [domain_id]/[domain_label]. *)
-end
-
-(* ------------------------------------------------------------------ *)
-(* The legacy single-global surface                                    *)
-(* ------------------------------------------------------------------ *)
-
-module type S = sig
-  val name : string
-
-  val caps : Caps.t
-  (** Robustness/applicability metadata (Tables 1 and 2). *)
-
-  val reset : unit -> unit
-  (** @deprecated Compatibility shim for the pre-domain between-cells
-      protocol: destroys the surface's hidden default domain (forcibly —
-      chaos cells leave crashed readers registered) and creates a fresh
-      one.  New code should own domains explicitly via {!SCHEME.create} /
-      {!SCHEME.destroy}; check.sh's grep gate rejects new [reset] call
-      sites outside the compat layer. *)
-
-  (** {1 Thread lifecycle} *)
-
-  type handle
-  (** Per-thread participant state. *)
-
-  val register : unit -> handle
-  val unregister : handle -> unit
-  (** [unregister] drains the handle's deferred work (best effort) and
-      releases its slots. *)
-
-  val flush : handle -> unit
-  (** Force-drain this handle's retired/deferred batches so that, once all
-      handles have flushed and unregistered, every retired block can be
-      reclaimed.  Harness calls it at the end of a measurement window. *)
-
-  (** {1 Shields (hazard-pointer slots)} *)
-
-  type shield
-
-  val new_shield : handle -> shield
   val protect : shield -> Block.t option -> unit
   (** Publish protection of a block (no validation; paper R2 situations).
       No-op in schemes without per-node protection. *)
@@ -397,8 +307,8 @@ module type S = sig
   (** True for schemes (VBR) that reclaim into a type-stable pool; data
       structures then allocate via their pool and mark blocks recyclable. *)
 
-  val current_era : unit -> int
-  (** The global era for birth-stamping recycled nodes (VBR); [0]
+  val current_era : domain -> int
+  (** The domain's era for birth-stamping recycled nodes (VBR); [0]
       elsewhere. *)
 
   (** {1 Traversal} *)
@@ -424,101 +334,11 @@ module type S = sig
 
   (** {1 Introspection} *)
 
-  val stats : unit -> Hpbrcu_runtime.Stats.snapshot
-  (** Scheme counters (epochs advanced, signals sent, restarts, ejections …)
-      as a typed snapshot for tests and experiment reports.  Fields the
-      scheme does not own stay at {!Hpbrcu_runtime.Stats.empty}'s zero;
-      composite schemes merge their halves with
-      {!Hpbrcu_runtime.Stats.add}. *)
-end
-
-(* ------------------------------------------------------------------ *)
-(* Compatibility functors                                              *)
-(* ------------------------------------------------------------------ *)
-
-(** [Globalize (X) (C) ()] — the old module-per-scheme surface: one hidden
-    default domain created at functor application, [reset] implemented as
-    forced destroy + create.  Generative ([()]) so two applications get
-    two independent domains, exactly like the old per-application global
-    state but without the shared-globals failure mode. *)
-module Globalize (X : SCHEME) (C : Config.CONFIG) () : S = struct
-  let caps = X.caps C.config
-  let name = caps.Caps.name
-
-  let make () = X.create ~label:(name ^ ":default") C.config
-  let cur = ref (make ())
-
-  (* The one sanctioned [reset] implementation (see the S.reset docs). *)
-  let reset () =
-    X.destroy ~force:true !cur;
-    cur := make ()
-
-  type handle = X.handle
-
-  let register () = X.register !cur
-  let unregister = X.unregister
-  let flush = X.flush
-
-  type shield = X.shield
-
-  let new_shield = X.new_shield
-  let protect = X.protect
-  let clear = X.clear
-
-  exception Restart = X.Restart
-
-  let op = X.op
-  let crit = X.crit
-  let mask = X.mask
-  let read = X.read
-  let deref = X.deref
-  let retire = X.retire
-  let recycles = X.recycles
-  let current_era () = X.current_era !cur
-  let traverse = X.traverse
-  let stats () = X.stats !cur
-end
-
-(** [Bind (X) (D)] — view a caller-owned domain through the legacy {!S}
-    surface, so the existing data-structure functors (which are written
-    over {!S}) can run inside an explicit domain — each shard of the
-    sharded hashmap binds its own.  The domain's lifetime belongs to the
-    caller: [reset] here is a programming error, not a teardown. *)
-module Bind (X : SCHEME) (D : sig
-  val it : X.domain
-end) : S = struct
-  let caps = X.caps (Dom.config (X.dom D.it))
-  let name = caps.Caps.name
-
-  let reset () =
-    invalid_arg
-      ("Smr_intf.Bind(" ^ name
-     ^ ").reset: surface borrows an external domain; destroy it instead")
-
-  type handle = X.handle
-
-  let register () = X.register D.it
-  let unregister = X.unregister
-  let flush = X.flush
-
-  type shield = X.shield
-
-  let new_shield = X.new_shield
-  let protect = X.protect
-  let clear = X.clear
-
-  exception Restart = X.Restart
-
-  let op = X.op
-  let crit = X.crit
-  let mask = X.mask
-  let read = X.read
-  let deref = X.deref
-  let retire = X.retire
-  let recycles = X.recycles
-  let current_era () = X.current_era D.it
-  let traverse = X.traverse
-  let stats () = X.stats D.it
+  val stats : domain -> Hpbrcu_runtime.Stats.snapshot
+  (** Typed counters for this domain only, identified by
+      [domain_id]/[domain_label].  Fields the scheme does not own stay at
+      {!Hpbrcu_runtime.Stats.empty}'s zero; composite schemes merge their
+      halves with {!Hpbrcu_runtime.Stats.add}. *)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -530,9 +350,27 @@ end
     [rcu_domain::retire] ≈ the intrusive {!SCHEME.retire}).  The phase
     guards are direct aliases of the scheme's own combinators — zero
     additional allocation per guarded region, which check.sh's allocation
-    gate enforces — while {!with_session} pairs register/unregister
-    exception-safely on the cold path. *)
+    gate enforces — while {!with_domain} and {!with_session} pair
+    create/destroy and register/unregister exception-safely on the cold
+    path. *)
 module Scoped (X : SCHEME) = struct
+  (** [with_domain ?label config f] — a domain that lives exactly as long
+      as [f]: created for it, then force-destroyed (chaos cells leave
+      crashed readers registered) with the tracer muted, so teardown
+      reclaims never land in a log the caller dumps afterwards.  This is
+      how a harness owns its cell's domain.  The label defaults to the
+      scheme's display name, so repeated cells report identical
+      snapshots. *)
+  let with_domain ?label config f =
+    let label =
+      match label with Some l -> l | None -> (X.caps config).Caps.name
+    in
+    let d = X.create ~label config in
+    Fun.protect
+      ~finally:(fun () ->
+        Hpbrcu_runtime.Trace.muted (fun () -> X.destroy ~force:true d))
+      (fun () -> f d)
+
   (** [with_session d f] — register a participant for the extent of [f].
       Cold path (slot allocation); don't wrap per-operation code in it. *)
   let with_session d f =

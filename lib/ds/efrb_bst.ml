@@ -21,8 +21,9 @@ module Alloc = Hpbrcu_alloc.Alloc
 module Link = Hpbrcu_core.Link
 open Hpbrcu_core.Smr_intf
 
-module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
-  let name = "EFRB-BST(" ^ S.name ^ ")"
+module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
+  Ds_intf.MAP with type domain = X.domain = struct
+  type domain = X.domain
 
   type node = {
     blk : Block.t;
@@ -50,14 +51,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let inf1 = max_int - 1
   let inf2 = max_int
 
-  type t = { root : node }
+  type t = { dom : X.domain; root : node }
 
   (* [recyclable] so that VBR's instant reuse keeps its access-check
      exemption; EFRB does not pool, but under VBR an optimistic reader may
      legally observe a reclaimed node. *)
   let mk_leaf key =
     {
-      blk = Alloc.block ~recyclable:S.recycles ();
+      blk = Alloc.block ~recyclable:X.recycles ();
       key;
       leaf = true;
       left = Link.cell None;
@@ -67,7 +68,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let mk_internal key ~left ~right =
     {
-      blk = Alloc.block ~recyclable:S.recycles ();
+      blk = Alloc.block ~recyclable:X.recycles ();
       key;
       leaf = false;
       left = Link.cell (Some left);
@@ -75,35 +76,35 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       update = Atomic.make Clean;
     }
 
-  let create () =
-    { root = mk_internal inf2 ~left:(mk_leaf inf1) ~right:(mk_leaf inf2) }
+  let create dom =
+    { dom; root = mk_internal inf2 ~left:(mk_leaf inf1) ~right:(mk_leaf inf2) }
 
   type session = {
-    h : S.handle;
-    prot : S.shield array;  (* gp, p, l *)
-    backup : S.shield array;
-    scratch : S.shield array;
+    h : X.handle;
+    prot : X.shield array;  (* gp, p, l *)
+    backup : X.shield array;
+    scratch : X.shield array;
     mutable rot : int;
   }
 
-  let session _t =
-    let h = S.register () in
+  let session t =
+    let h = X.register t.dom in
     {
       h;
-      prot = Array.init 3 (fun _ -> S.new_shield h);
-      backup = Array.init 3 (fun _ -> S.new_shield h);
-      scratch = Array.init 5 (fun _ -> S.new_shield h);
+      prot = Array.init 3 (fun _ -> X.new_shield h);
+      backup = Array.init 3 (fun _ -> X.new_shield h);
+      scratch = Array.init 5 (fun _ -> X.new_shield h);
       rot = 0;
     }
 
   let close_session s =
-    S.flush s.h;
-    S.unregister s.h
+    X.flush s.h;
+    X.unregister s.h
 
   let scratch_read s ?src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    S.read s.h sh ?src ~hdr:blk cell
+    X.read s.h sh ?src ~hdr:blk cell
 
   let child_cell n key = if key < n.key then n.left else n.right
 
@@ -155,7 +156,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      unlink+retire pair is abort-masked so a rollback cannot separate
      them. *)
   let help_marked s (op : dinfo) =
-    S.mask s.h (fun () ->
+    X.mask s.h (fun () ->
         (* Identify p's other child (frozen: p is marked). *)
         let other =
           match Link.target (Link.get op.dp.left) with
@@ -167,9 +168,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             if cas_child op.dgp op.dp other then begin
               (* We unlinked p (and l with it): retire both. *)
               if Alloc.try_retire op.dp.blk then
-                S.retire s.h op.dp.blk ~claimed:true ~patch:[ other.blk ];
+                X.retire s.h op.dp.blk ~claimed:true ~patch:[ other.blk ];
               if Alloc.try_retire op.dl.blk then
-                S.retire s.h op.dl.blk ~claimed:true
+                X.retire s.h op.dl.blk ~claimed:true
             end
         | None -> ());
         unflag_delete op)
@@ -208,10 +209,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     l : node;
   }
 
-  let protect_cursor (sh : S.shield array) c =
-    S.protect sh.(0) (Option.map blk c.gp);
-    S.protect sh.(1) (Some c.p.blk);
-    S.protect sh.(2) (Some c.l.blk)
+  let protect_cursor (sh : X.shield array) c =
+    X.protect sh.(0) (Option.map blk c.gp);
+    X.protect sh.(1) (Some c.p.blk);
+    X.protect sh.(2) (Some c.l.blk)
 
   (* Resuming a checkpointed EFRB cursor cannot be revalidated locally
      (deletion state lives in ancestors' update words), so rollbacks
@@ -247,7 +248,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let rec search t s key =
     match
-      S.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
+      X.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
         ~validate:validate_cursor ~init:(init_cursor t s) ~step:(step t s key)
     with
     | Some (c, _win, found) -> (c, found)
@@ -255,11 +256,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- operations ---------------- *)
 
-  let get t s key = S.op s.h (fun () -> snd (search t s key))
+  let get t s key = X.op s.h (fun () -> snd (search t s key))
 
   let insert t s key value =
     ignore value;
-    S.op s.h (fun () ->
+    X.op s.h (fun () ->
         let rec attempt () =
           let c, found = search t s key in
           if found then false
@@ -276,7 +277,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             in
             let op = { ip = c.p; il = c.l; inew = new_internal } in
             if Atomic.compare_and_set c.p.update c.pupdate (IFlag op) then begin
-              S.mask s.h (fun () -> help_insert s op);
+              X.mask s.h (fun () -> help_insert s op);
               true
             end
             else begin
@@ -293,7 +294,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         attempt ())
 
   let remove t s key =
-    S.op s.h (fun () ->
+    X.op s.h (fun () ->
         let rec attempt () =
           let c, found = search t s key in
           if not found then false
@@ -318,7 +319,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                     (* Marking may fail (competitor on p): then the flag is
                        backed out inside help_delete and we retry. *)
                     let won = ref false in
-                    S.mask s.h (fun () ->
+                    X.mask s.h (fun () ->
                         let marked =
                           Atomic.compare_and_set op.dp.update op.dpupdate
                             (Mark op)

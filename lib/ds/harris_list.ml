@@ -23,11 +23,11 @@ open Hpbrcu_core.Smr_intf
 
 module type FLAVOUR = sig
   val helping_get : bool
-  val flavour_name : string
 end
 
-module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
-  let name = F.flavour_name ^ "(" ^ S.name ^ ")"
+module Make_gen (F : FLAVOUR) (X : Hpbrcu_core.Smr_intf.SCHEME) :
+  Ds_intf.MAP with type domain = X.domain = struct
+  type domain = X.domain
 
   type node = {
     blk : Block.t;
@@ -38,7 +38,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
 
   let blk n = n.blk
 
-  type t = { head : node; pool : node Pool.t }
+  type t = { dom : X.domain; head : node; pool : node Pool.t }
 
   (* Traversal cursor: [left] = last unmarked node whose loaded link is
      [left_next] (the snip CAS's expected value); [node] = node under
@@ -47,45 +47,46 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   type cursor = { left : node; left_next : node Link.t; node : node option }
 
   type session = {
-    h : S.handle;
-    prot : S.shield array;  (* left, left_next-target, node *)
-    backup : S.shield array;
-    scratch : S.shield array;
+    h : X.handle;
+    prot : X.shield array;  (* left, left_next-target, node *)
+    backup : X.shield array;
+    scratch : X.shield array;
     mutable rot : int;
-    mask0 : S.shield;
-    mask1 : S.shield;
+    mask0 : X.shield;
+    mask1 : X.shield;
   }
 
-  let create () =
+  let create dom =
     {
+      dom;
       head =
         { blk = Alloc.block (); key = min_int; value = 0; next = Link.cell None };
       pool = Pool.create ();
     }
 
-  let session _t =
-    let h = S.register () in
+  let session t =
+    let h = X.register t.dom in
     {
       h;
-      prot = Array.init 3 (fun _ -> S.new_shield h);
-      backup = Array.init 3 (fun _ -> S.new_shield h);
-      scratch = Array.init 4 (fun _ -> S.new_shield h);
+      prot = Array.init 3 (fun _ -> X.new_shield h);
+      backup = Array.init 3 (fun _ -> X.new_shield h);
+      scratch = Array.init 4 (fun _ -> X.new_shield h);
       rot = 0;
-      mask0 = S.new_shield h;
-      mask1 = S.new_shield h;
+      mask0 = X.new_shield h;
+      mask1 = X.new_shield h;
     }
 
   let close_session s =
-    S.flush s.h;
-    S.unregister s.h
+    X.flush s.h;
+    X.unregister s.h
 
   let alloc_node t key value =
     let reuse =
-      if not S.recycles then None
+      if not X.recycles then None
       else
         match Pool.acquire t.pool with
-        | Some n when Block.retire_era n.blk <> S.current_era () ->
-            Block.reanimate n.blk ~era:(S.current_era ());
+        | Some n when Block.retire_era n.blk <> X.current_era t.dom ->
+            Block.reanimate n.blk ~era:(X.current_era t.dom);
             n.key <- key;
             n.value <- value;
             Link.set n.next Link.null;
@@ -98,8 +99,8 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
     match reuse with
     | Some n -> n
     | None ->
-        let b = Alloc.block ~recyclable:S.recycles () in
-        Block.set_birth_era b ~era:(S.current_era ());
+        let b = Alloc.block ~recyclable:X.recycles () in
+        Block.set_birth_era b ~era:(X.current_era t.dom);
         { blk = b; key; value; next = Link.cell None }
 
   (* A node that was allocated but never published: recyclers take it back
@@ -107,22 +108,22 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
      or the leak-at-quiescence oracle (DESIGN.md §11) would book it as
      stranded by a lost retirement. *)
   let discard t n =
-    if S.recycles then Pool.release t.pool n else Alloc.abandon n.blk
+    if X.recycles then Pool.release t.pool n else Alloc.abandon n.blk
 
   let scratch_read s ?src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    S.read s.h sh ?src ~hdr:blk cell
+    X.read s.h sh ?src ~hdr:blk cell
 
   let key_of s n =
     let k = n.key in
-    S.deref s.h n.blk;
+    X.deref s.h n.blk;
     k
 
-  let protect_cursor (sh : S.shield array) c =
-    S.protect sh.(0) (Some c.left.blk);
-    S.protect sh.(1) (Option.map blk (Link.target c.left_next));
-    S.protect sh.(2) (Option.map blk c.node)
+  let protect_cursor (sh : X.shield array) c =
+    X.protect sh.(0) (Some c.left.blk);
+    X.protect sh.(1) (Option.map blk (Link.target c.left_next));
+    X.protect sh.(2) (Option.map blk c.node)
 
   (* Revalidation (§3.3): resuming from [node] (or from [left] when at the
      end) requires it not logically deleted.  Checkpointed nodes are
@@ -145,9 +146,9 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
       | Some x when (match stop with Some y -> x == y | None -> false) -> ()
       | Some x ->
           let nx = Link.target (Link.get x.next) in
-          S.retire s.h x.blk
+          X.retire s.h x.blk
             ~patch:(match nx with None -> [] | Some y -> [ y.blk ])
-            ~free:(fun () -> if S.recycles then Pool.release t.pool x);
+            ~free:(fun () -> if X.recycles then Pool.release t.pool x);
           go nx
     in
     go from
@@ -156,10 +157,10 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
      [left.next], then retire the chain.  Abort-rollback-unsafe, so masked
      on outliving protections. *)
   let snip t s c =
-    S.protect s.mask0 (Some c.left.blk);
-    S.protect s.mask1 (Option.map blk c.node);
+    X.protect s.mask0 (Some c.left.blk);
+    X.protect s.mask1 (Option.map blk c.node);
     let desired = Link.make c.node in
-    S.mask s.h (fun () ->
+    X.mask s.h (fun () ->
         if Link.cas c.left.next ~expected:c.left_next ~desired then begin
           retire_chain t s ~from:(Link.target c.left_next) ~stop:c.node;
           Some desired
@@ -204,7 +205,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
 
   let rec search t s key ~help =
     match
-      S.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
+      X.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
         ~validate:validate_cursor ~init:(init_cursor t s)
         ~step:(step_search t s key ~help)
     with
@@ -214,10 +215,10 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
   (* ---------------- operations ---------------- *)
 
   let get t s key =
-    S.op s.h (fun () -> snd (search t s key ~help:F.helping_get))
+    X.op s.h (fun () -> snd (search t s key ~help:F.helping_get))
 
   let insert t s key value =
-    S.op s.h (fun () ->
+    X.op s.h (fun () ->
         let n = alloc_node t key value in
         let rec go () =
           let c, found = search t s key ~help:true in
@@ -237,7 +238,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
         go ())
 
   let remove t s key =
-    S.op s.h (fun () ->
+    X.op s.h (fun () ->
         let rec go () =
           let c, found = search t s key ~help:true in
           if not found then false
@@ -250,16 +251,16 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
                 ~desired:(Link.with_tag r_next 1)
             then begin
               (* Try to unlink immediately; otherwise later searches snip. *)
-              S.protect s.mask0 (Some c.left.blk);
-              S.protect s.mask1 (Some right.blk);
+              X.protect s.mask0 (Some c.left.blk);
+              X.protect s.mask1 (Some right.blk);
               let desired = Link.make (Link.target r_next) in
-              S.mask s.h (fun () ->
+              X.mask s.h (fun () ->
                   if Link.cas c.left.next ~expected:c.left_next ~desired then
-                    S.retire s.h right.blk
+                    X.retire s.h right.blk
                       ~patch:(match Link.target r_next with
                              | None -> []
                              | Some nx -> [ nx.blk ])
-                      ~free:(fun () -> if S.recycles then Pool.release t.pool right));
+                      ~free:(fun () -> if X.recycles then Pool.release t.pool right));
               true
             end
             else go ()
@@ -275,7 +276,7 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
      search's left and right, where the snip CAS removes it. *)
   let cleanup t s =
     ignore
-      (S.op s.h (fun () ->
+      (X.op s.h (fun () ->
            let rec sweep key =
              let c, _ = search t s key ~help:true in
              match c.node with
@@ -289,19 +290,19 @@ module Make_gen (F : FLAVOUR) (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struc
         : bool)
 end
 
-module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP =
+module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
+  Ds_intf.MAP with type domain = X.domain =
   Make_gen
     (struct
       let helping_get = true
-      let flavour_name = "HList"
     end)
-    (S)
+    (X)
 
 (** HHSList: Harris list with the Herlihy-Shavit read-only [get]. *)
-module Make_hhs (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP =
+module Make_hhs (X : Hpbrcu_core.Smr_intf.SCHEME) :
+  Ds_intf.MAP with type domain = X.domain =
   Make_gen
     (struct
       let helping_get = false
-      let flavour_name = "HHSList"
     end)
-    (S)
+    (X)

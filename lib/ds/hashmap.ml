@@ -3,34 +3,33 @@
     The paper's HashMap uses HMList buckets under HP (which cannot run the
     optimistic Harris traversal) and HHSList buckets under every other
     scheme; {!Make_hm} and {!Make} mirror that split, and the workload
-    harness picks per scheme.
+    harness picks per scheme ([Matrix.bucket_list]).
 
     Buckets are chosen by a Fibonacci multiplicative hash; the bucket count
-    is fixed at creation ([create ~buckets]) so that the expected chain
+    is fixed at creation ([create_sized]) so that the expected chain
     length matches the paper's (~1.7 for the 100K-key configuration). *)
 
-module type BUCKETS = functor (S : Hpbrcu_core.Smr_intf.S) -> Ds_intf.MAP
+module Smr_intf = Hpbrcu_core.Smr_intf
 
-module Make_gen (B : BUCKETS) (S : Hpbrcu_core.Smr_intf.S) = struct
-  module L = B (S)
+module Make_gen (B : Ds_intf.MAKE) (X : Smr_intf.SCHEME) = struct
+  module L = B (X)
 
-  let name = "HashMap[" ^ L.name ^ "]"
-
+  type domain = X.domain
   type t = { buckets : L.t array; mask : int }
   type session = L.session
 
   let default_buckets = 1024
 
   (* Power-of-two bucket count ≥ requested. *)
-  let create_sized n =
+  let create_sized dom n =
     let n = max 4 n in
     let size = ref 4 in
     while !size < n do
       size := !size * 2
     done;
-    { buckets = Array.init !size (fun _ -> L.create ()); mask = !size - 1 }
+    { buckets = Array.init !size (fun _ -> L.create dom); mask = !size - 1 }
 
-  let create () = create_sized default_buckets
+  let create dom = create_sized dom default_buckets
 
   (* Fibonacci hashing spreads consecutive keys across buckets. *)
   let bucket t key =
@@ -49,8 +48,9 @@ module Make_gen (B : BUCKETS) (S : Hpbrcu_core.Smr_intf.S) = struct
 end
 
 (** HashMap over HHSList buckets (all schemes except HP). *)
-module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP =
-  Make_gen (Harris_list.Make_hhs) (S)
+module Make (X : Smr_intf.SCHEME) : Ds_intf.MAP with type domain = X.domain =
+  Make_gen (Harris_list.Make_hhs) (X)
 
 (** HashMap over HMList buckets (for HP, as in the paper). *)
-module Make_hm (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = Make_gen (Hm_list.Make) (S)
+module Make_hm (X : Smr_intf.SCHEME) : Ds_intf.MAP with type domain = X.domain =
+  Make_gen (Hm_list.Make) (X)

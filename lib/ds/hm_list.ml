@@ -19,8 +19,9 @@ module Pool = Hpbrcu_alloc.Pool
 module Link = Hpbrcu_core.Link
 open Hpbrcu_core.Smr_intf
 
-module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
-  let name = "HMList(" ^ S.name ^ ")"
+module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
+  Ds_intf.MAP with type domain = X.domain = struct
+  type domain = X.domain
 
   type node = {
     blk : Block.t;
@@ -31,7 +32,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let blk n = n.blk
 
-  type t = { head : node (* sentinel, key = min_int *); pool : node Pool.t }
+  type t = {
+    dom : X.domain;
+    head : node;  (* sentinel, key = min_int *)
+    pool : node Pool.t;
+  }
 
   (* The traversal cursor: [prev] and the link loaded from [prev.next]
      (whose target is [cur]).  Keeping the loaded link (not just the
@@ -41,48 +46,49 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let cur_of c = Link.target c.pnext
 
   type session = {
-    h : S.handle;
-    prot : S.shield array;  (* protector: prev, cur *)
-    backup : S.shield array;  (* double-buffer twin *)
-    scratch : S.shield array;  (* rotating per-read shields (HP family) *)
+    h : X.handle;
+    prot : X.shield array;  (* protector: prev, cur *)
+    backup : X.shield array;  (* double-buffer twin *)
+    scratch : X.shield array;  (* rotating per-read shields (HP family) *)
     mutable rot : int;
-    mask0 : S.shield;  (* outliving shields for masked regions (Alg. 8) *)
-    mask1 : S.shield;
+    mask0 : X.shield;  (* outliving shields for masked regions (Alg. 8) *)
+    mask1 : X.shield;
   }
 
-  let create () =
+  let create dom =
     {
+      dom;
       head =
         { blk = Alloc.block (); key = min_int; value = 0; next = Link.cell None };
       pool = Pool.create ();
     }
 
-  let session _t =
-    let h = S.register () in
+  let session t =
+    let h = X.register t.dom in
     {
       h;
-      prot = [| S.new_shield h; S.new_shield h |];
-      backup = [| S.new_shield h; S.new_shield h |];
-      scratch = [| S.new_shield h; S.new_shield h; S.new_shield h |];
+      prot = [| X.new_shield h; X.new_shield h |];
+      backup = [| X.new_shield h; X.new_shield h |];
+      scratch = [| X.new_shield h; X.new_shield h; X.new_shield h |];
       rot = 0;
-      mask0 = S.new_shield h;
-      mask1 = S.new_shield h;
+      mask0 = X.new_shield h;
+      mask1 = X.new_shield h;
     }
 
   let close_session s =
-    S.flush s.h;
-    S.unregister s.h
+    X.flush s.h;
+    X.unregister s.h
 
   (* ---------------- allocation (pool-aware for VBR) ---------------- *)
 
   let alloc_node t key value =
     let reuse =
-      if not S.recycles then None
+      if not X.recycles then None
       else
         match Pool.acquire t.pool with
-        | Some n when Block.retire_era n.blk <> S.current_era () ->
+        | Some n when Block.retire_era n.blk <> X.current_era t.dom ->
             (* Cross-era reuse only: see Vbr's module comment. *)
-            Block.reanimate n.blk ~era:(S.current_era ());
+            Block.reanimate n.blk ~era:(X.current_era t.dom);
             n.key <- key;
             n.value <- value;
             Link.set n.next Link.null;
@@ -95,8 +101,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     match reuse with
     | Some n -> n
     | None ->
-        let b = Alloc.block ~recyclable:S.recycles () in
-        Block.set_birth_era b ~era:(S.current_era ());
+        let b = Alloc.block ~recyclable:X.recycles () in
+        Block.set_birth_era b ~era:(X.current_era t.dom);
         { blk = b; key; value; next = Link.cell None }
 
   (* A node that was allocated but never published: recyclers take it back
@@ -104,29 +110,29 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      or the leak-at-quiescence oracle (DESIGN.md §11) would book it as
      stranded by a lost retirement. *)
   let discard t n =
-    if S.recycles then Pool.release t.pool n else Alloc.abandon n.blk
+    if X.recycles then Pool.release t.pool n else Alloc.abandon n.blk
 
   (* ---------------- mediated accesses ---------------- *)
 
   let scratch_read s ?src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    S.read s.h sh ?src ~hdr:blk cell
+    X.read s.h sh ?src ~hdr:blk cell
 
   (* Read a node's key, then validate the access (order matters for VBR:
      the value is junk if the node was recycled meanwhile, and the
      validation detects exactly that). *)
   let key_of s n =
     let k = n.key in
-    S.deref s.h n.blk;
+    X.deref s.h n.blk;
     k
 
   (* ---------------- Traverse plumbing (Algorithm 8) ---------------- *)
 
   (* ListCursorProtector.protect: publish both cursor nodes. *)
-  let protect_cursor (sh : S.shield array) c =
-    S.protect sh.(0) (Some c.prev.blk);
-    S.protect sh.(1) (Option.map blk (cur_of c))
+  let protect_cursor (sh : X.shield array) c =
+    X.protect sh.(0) (Some c.prev.blk);
+    X.protect sh.(1) (Option.map blk (cur_of c))
 
   (* ListCursor.validate: the node the resumed traversal will dereference
      must not be logically deleted (checking the mark suffices for
@@ -153,17 +159,17 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
           (* cur is logically deleted: help unlink it.  The unlink + retire
              pair is abort-rollback-unsafe, so it runs masked on outliving
              protections (Algorithm 8 lines 23-27). *)
-          S.protect s.mask0 (Some c.prev.blk);
-          S.protect s.mask1 (Some cur.blk);
+          X.protect s.mask0 (Some c.prev.blk);
+          X.protect s.mask1 (Some cur.blk);
           let desired = Link.make (Link.target next) in
           let ok =
-            S.mask s.h (fun () ->
+            X.mask s.h (fun () ->
                 if Link.cas c.prev.next ~expected:c.pnext ~desired then begin
-                  S.retire s.h cur.blk
+                  X.retire s.h cur.blk
                     ~patch:(match Link.target next with
                            | None -> []
                            | Some nx -> [ nx.blk ])
-                    ~free:(fun () -> if S.recycles then Pool.release t.pool cur);
+                    ~free:(fun () -> if X.recycles then Pool.release t.pool cur);
                   true
                 end
                 else false)
@@ -180,7 +186,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      cursor is protected by the winning shield array. *)
   let rec search t s key =
     match
-      S.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
+      X.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
         ~validate:validate_cursor ~init:(init_cursor t s) ~step:(step t s key)
     with
     | Some (c, _win, found) -> (c, found)
@@ -188,10 +194,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- operations ---------------- *)
 
-  let get t s key = S.op s.h (fun () -> snd (search t s key))
+  let get t s key = X.op s.h (fun () -> snd (search t s key))
 
   let insert t s key value =
-    S.op s.h (fun () ->
+    X.op s.h (fun () ->
         let n = alloc_node t key value in
         let rec go () =
           let c, found = search t s key in
@@ -209,7 +215,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         go ())
 
   let remove t s key =
-    S.op s.h (fun () ->
+    X.op s.h (fun () ->
         let rec go () =
           let c, found = search t s key in
           if not found then false
@@ -225,11 +231,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
                  finish the job (and retire the node). *)
               let desired = Link.make (Link.target next) in
               if Link.cas c.prev.next ~expected:c.pnext ~desired then
-                S.retire s.h cur.blk
+                X.retire s.h cur.blk
                   ~patch:(match Link.target next with
                          | None -> []
                          | Some nx -> [ nx.blk ])
-                  ~free:(fun () -> if S.recycles then Pool.release t.pool cur)
+                  ~free:(fun () -> if X.recycles then Pool.release t.pool cur)
               else ignore (search t s key : cursor * bool);
               true
             end

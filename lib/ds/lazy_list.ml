@@ -22,8 +22,9 @@ module Link = Hpbrcu_core.Link
 module Sched = Hpbrcu_runtime.Sched
 open Hpbrcu_core.Smr_intf
 
-module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
-  let name = "LazyList(" ^ S.name ^ ")"
+module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
+  Ds_intf.MAP with type domain = X.domain = struct
+  type domain = X.domain
 
   type node = {
     blk : Block.t;
@@ -36,17 +37,17 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let blk n = n.blk
 
-  type t = { head : node; pool : node Pool.t }
+  type t = { dom : X.domain; head : node; pool : node Pool.t }
 
   type cursor = { prev : node; pnext : node Link.t }
 
   let cur_of c = Link.target c.pnext
 
   type session = {
-    h : S.handle;
-    prot : S.shield array;
-    backup : S.shield array;
-    scratch : S.shield array;
+    h : X.handle;
+    prot : X.shield array;
+    backup : X.shield array;
+    scratch : X.shield array;
     mutable rot : int;
   }
 
@@ -60,29 +61,29 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       marked = Atomic.make false;
     }
 
-  let create () = { head = mk_node min_int 0; pool = Pool.create () }
+  let create dom = { dom; head = mk_node min_int 0; pool = Pool.create () }
 
-  let session _t =
-    let h = S.register () in
+  let session t =
+    let h = X.register t.dom in
     {
       h;
-      prot = Array.init 2 (fun _ -> S.new_shield h);
-      backup = Array.init 2 (fun _ -> S.new_shield h);
-      scratch = Array.init 3 (fun _ -> S.new_shield h);
+      prot = Array.init 2 (fun _ -> X.new_shield h);
+      backup = Array.init 2 (fun _ -> X.new_shield h);
+      scratch = Array.init 3 (fun _ -> X.new_shield h);
       rot = 0;
     }
 
   let close_session s =
-    S.flush s.h;
-    S.unregister s.h
+    X.flush s.h;
+    X.unregister s.h
 
   let alloc_node t key value =
     let reuse =
-      if not S.recycles then None
+      if not X.recycles then None
       else
         match Pool.acquire t.pool with
-        | Some n when Block.retire_era n.blk <> S.current_era () ->
-            Block.reanimate n.blk ~era:(S.current_era ());
+        | Some n when Block.retire_era n.blk <> X.current_era t.dom ->
+            Block.reanimate n.blk ~era:(X.current_era t.dom);
             n.key <- key;
             n.value <- value;
             Link.set n.next Link.null;
@@ -97,23 +98,23 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     match reuse with
     | Some n -> n
     | None ->
-        let n = mk_node ~recyclable:S.recycles key value in
-        Block.set_birth_era n.blk ~era:(S.current_era ());
+        let n = mk_node ~recyclable:X.recycles key value in
+        Block.set_birth_era n.blk ~era:(X.current_era t.dom);
         n
 
   (* Unpublished node: back to the pool, or booked as abandoned so the
      leak-at-quiescence accounting stays exact (DESIGN.md §11). *)
   let discard t n =
-    if S.recycles then Pool.release t.pool n else Alloc.abandon n.blk
+    if X.recycles then Pool.release t.pool n else Alloc.abandon n.blk
 
   let scratch_read s ?src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    S.read s.h sh ?src ~hdr:blk cell
+    X.read s.h sh ?src ~hdr:blk cell
 
   let key_of s n =
     let k = n.key in
-    S.deref s.h n.blk;
+    X.deref s.h n.blk;
     k
 
   (* Spin lock; only ever taken in write phases on shield-protected
@@ -136,9 +137,9 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- traversal ---------------- *)
 
-  let protect_cursor (sh : S.shield array) c =
-    S.protect sh.(0) (Some c.prev.blk);
-    S.protect sh.(1) (Option.map blk (cur_of c))
+  let protect_cursor (sh : X.shield array) c =
+    X.protect sh.(0) (Some c.prev.blk);
+    X.protect sh.(1) (Option.map blk (cur_of c))
 
   (* Resuming follows prev.next: prev must not be logically deleted. *)
   let validate_cursor c =
@@ -160,7 +161,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let rec search t s key =
     match
-      S.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
+      X.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
         ~validate:validate_cursor ~init:(init_cursor t s) ~step:(step s key)
     with
     | Some (c, _win, found) -> (c, found)
@@ -174,10 +175,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- operations ---------------- *)
 
-  let get t s key = S.op s.h (fun () -> snd (search t s key))
+  let get t s key = X.op s.h (fun () -> snd (search t s key))
 
   let insert t s key value =
-    S.op s.h (fun () ->
+    X.op s.h (fun () ->
         let n = alloc_node t key value in
         let rec go () =
           let c, found = search t s key in
@@ -209,7 +210,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         go ())
 
   let remove t s key =
-    S.op s.h (fun () ->
+    X.op s.h (fun () ->
         let rec go () =
           let c, found = search t s key in
           if not found then false
@@ -227,11 +228,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             in
             match outcome with
             | `Removed ->
-                S.retire s.h cur.blk
+                X.retire s.h cur.blk
                   ~patch:(match Link.target (Link.get cur.next) with
                          | None -> []
                          | Some nx -> [ nx.blk ])
-                  ~free:(fun () -> if S.recycles then Pool.release t.pool cur);
+                  ~free:(fun () -> if X.recycles then Pool.release t.pool cur);
                 true
             | `Retry -> go ()
         in

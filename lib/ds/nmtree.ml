@@ -23,8 +23,9 @@ open Hpbrcu_core.Smr_intf
 let flag_bit = 1 (* the leaf below is being deleted *)
 let tag_bit = 2 (* the edge must not accept insertions (sibling move) *)
 
-module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
-  let name = "NMTree(" ^ S.name ^ ")"
+module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
+  Ds_intf.MAP with type domain = X.domain = struct
+  type domain = X.domain
 
   type node = {
     blk : Block.t;
@@ -42,7 +43,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let inf1 = max_int - 1
   let inf2 = max_int
 
-  type t = { root : node; pool : node Pool.t (* leaves and internals *) }
+  type t = {
+    dom : X.domain;
+    root : node;
+    pool : node Pool.t;  (* leaves and internals *)
+  }
 
   (* Seek record (the NM paper's seekRecord): ancestor = deepest node whose
      edge toward the key is untagged; successor = that edge's target;
@@ -56,20 +61,20 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   }
 
   type session = {
-    h : S.handle;
-    prot : S.shield array;  (* anc, successor, par, cur *)
-    backup : S.shield array;
-    scratch : S.shield array;
+    h : X.handle;
+    prot : X.shield array;  (* anc, successor, par, cur *)
+    backup : X.shield array;
+    scratch : X.shield array;
     mutable rot : int;
-    anc_sh : S.shield;  (* lasting protection of ancestor and parent *)
-    par_sh : S.shield;
+    anc_sh : X.shield;  (* lasting protection of ancestor and parent *)
+    par_sh : X.shield;
   }
 
   let mk_leaf ?(recyclable = false) key value =
     let b = Alloc.block ~recyclable () in
     { blk = b; key; value; leaf = true; left = Link.cell None; right = Link.cell None }
 
-  let create () =
+  let create dom =
     (* R(inf2) -- left --> S(inf1) -- left --> leaf(inf0);
        right children are sentinel leaves. *)
     let l_inf0 = mk_leaf inf0 0 in
@@ -95,32 +100,32 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         right = Link.cell (Some l_inf2);
       }
     in
-    { root = r; pool = Pool.create () }
+    { dom; root = r; pool = Pool.create () }
 
-  let session _t =
-    let h = S.register () in
+  let session t =
+    let h = X.register t.dom in
     {
       h;
-      prot = Array.init 5 (fun _ -> S.new_shield h);
-      backup = Array.init 5 (fun _ -> S.new_shield h);
-      scratch = Array.init 5 (fun _ -> S.new_shield h);
+      prot = Array.init 5 (fun _ -> X.new_shield h);
+      backup = Array.init 5 (fun _ -> X.new_shield h);
+      scratch = Array.init 5 (fun _ -> X.new_shield h);
       rot = 0;
-      anc_sh = S.new_shield h;
-      par_sh = S.new_shield h;
+      anc_sh = X.new_shield h;
+      par_sh = X.new_shield h;
     }
 
   let close_session s =
-    S.flush s.h;
-    S.unregister s.h
+    X.flush s.h;
+    X.unregister s.h
 
   let alloc_leaf t key value =
     let reuse =
-      if not S.recycles then None
+      if not X.recycles then None
       else
         match Pool.acquire t.pool with
         | Some n
-          when n.leaf && Block.retire_era n.blk <> S.current_era () ->
-            Block.reanimate n.blk ~era:(S.current_era ());
+          when n.leaf && Block.retire_era n.blk <> X.current_era t.dom ->
+            Block.reanimate n.blk ~era:(X.current_era t.dom);
             n.key <- key;
             n.value <- value;
             Some n
@@ -132,13 +137,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     match reuse with
     | Some n -> n
     | None ->
-        let n = mk_leaf ~recyclable:S.recycles key value in
-        Block.set_birth_era n.blk ~era:(S.current_era ());
+        let n = mk_leaf ~recyclable:X.recycles key value in
+        Block.set_birth_era n.blk ~era:(X.current_era t.dom);
         n
 
-  let alloc_internal key ~left ~right =
-    let b = Alloc.block ~recyclable:S.recycles () in
-    Block.set_birth_era b ~era:(S.current_era ());
+  let alloc_internal t key ~left ~right =
+    let b = Alloc.block ~recyclable:X.recycles () in
+    Block.set_birth_era b ~era:(X.current_era t.dom);
     {
       blk = b;
       key;
@@ -151,23 +156,23 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let scratch_read s ?src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    S.read s.h sh ?src ~hdr:blk cell
+    X.read s.h sh ?src ~hdr:blk cell
 
   let key_of s n =
     let k = n.key in
-    S.deref s.h n.blk;
+    X.deref s.h n.blk;
     k
 
   let child_cell n key = if key < n.key then n.left else n.right
 
   (* ---------------- seek (step-decomposed) ---------------- *)
 
-  let protect_cursor (sh : S.shield array) c =
-    S.protect sh.(0) (Some c.anc.blk);
-    S.protect sh.(1) (Option.map blk (Link.target c.alink));
-    S.protect sh.(2) (Some c.par.blk);
-    S.protect sh.(3) (Some c.cur.blk);
-    S.protect sh.(4) (Option.map blk (Link.target c.plink))
+  let protect_cursor (sh : X.shield array) c =
+    X.protect sh.(0) (Some c.anc.blk);
+    X.protect sh.(1) (Option.map blk (Link.target c.alink));
+    X.protect sh.(2) (Some c.par.blk);
+    X.protect sh.(3) (Some c.cur.blk);
+    X.protect sh.(4) (Option.map blk (Link.target c.plink))
 
   (* Revalidation (§3.3): resuming descends from [cur]; conservative and
      cheap: the parent must still hold a clean edge to cur.  (A leaf cursor
@@ -210,14 +215,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             if Link.tag c.plink land tag_bit = 0 then (c.par, c.plink)
             else (c.anc, c.alink)
           in
-          S.protect s.anc_sh (Some anc.blk);
-          S.protect s.par_sh (Some c.cur.blk);
+          X.protect s.anc_sh (Some anc.blk);
+          X.protect s.par_sh (Some c.cur.blk);
           Continue { anc; alink; par = c.cur; plink = next; cur = nx }
     end
 
   let rec seek t s key =
     match
-      S.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
+      X.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
         ~validate:validate_cursor ~init:(init_cursor t s) ~step:(step t s key)
     with
     | Some (c, _win, found) -> (c, found)
@@ -236,7 +241,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       if n != keep && Alloc.try_retire n.blk then begin
         let l = if n.leaf then None else Link.target (Link.get n.left) in
         let r = if n.leaf then None else Link.target (Link.get n.right) in
-        S.retire s.h n.blk ~claimed:true;
+        X.retire s.h n.blk ~claimed:true;
         Option.iter go l;
         Option.iter go r
       end
@@ -245,7 +250,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- operations ---------------- *)
 
-  let get t s key = S.op s.h (fun () -> snd (seek t s key))
+  let get t s key = X.op s.h (fun () -> snd (seek t s key))
 
   (* Cleanup (NM): tag the sibling edge, then swing the ancestor edge to
      the sibling subtree (preserving its flag, clearing its tag).  Returns
@@ -278,7 +283,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     match Link.target slink with
     | None -> false
     | Some keep ->
-        S.mask s.h (fun () ->
+        X.mask s.h (fun () ->
             let desired =
               Link.make ~tag:(Link.tag slink land flag_bit) (Some keep)
             in
@@ -291,14 +296,14 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             else false)
 
   let insert t s key value =
-    S.op s.h (fun () ->
+    X.op s.h (fun () ->
         let leaf = alloc_leaf t key value in
         let rec attempt () =
           let c, found = seek t s key in
           if found then begin
             (* Unpublished leaf: pool it, or book it as abandoned so the
                leak-at-quiescence accounting stays exact (DESIGN.md §11). *)
-            if S.recycles then Pool.release t.pool leaf
+            if X.recycles then Pool.release t.pool leaf
             else Alloc.abandon leaf.blk;
             false
           end
@@ -311,8 +316,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             let sib = c.cur in
             let skey = sib.key in
             let internal =
-              if key < skey then alloc_internal skey ~left:leaf ~right:sib
-              else alloc_internal key ~left:sib ~right:leaf
+              if key < skey then alloc_internal t skey ~left:leaf ~right:sib
+              else alloc_internal t key ~left:sib ~right:leaf
             in
             let cell = child_cell c.par key in
             if Link.cas cell ~expected:c.plink ~desired:(Link.make (Some internal))
@@ -329,7 +334,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         attempt ())
 
   let remove t s key =
-    S.op s.h (fun () ->
+    X.op s.h (fun () ->
         let rec injection () =
           let c, found = seek t s key in
           if not found then false

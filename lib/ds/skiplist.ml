@@ -24,8 +24,9 @@ open Hpbrcu_core.Smr_intf
 
 let max_level = 12
 
-module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
-  let name = "SkipList(" ^ S.name ^ ")"
+module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
+  Ds_intf.MAP with type domain = X.domain = struct
+  type domain = X.domain
 
   type node = {
     blk : Block.t;
@@ -38,9 +39,13 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let height n = Array.length n.next
 
   type t = {
+    dom : X.domain;
     head : node;  (* sentinel tower of max_level, key = min_int *)
     pools : node Pool.t array;  (* per-height pools (VBR) *)
     level_seed : int Atomic.t;
+    helping_get : bool;
+        (* HP must help (it cannot traverse past marked nodes safely);
+           everyone else gets the read-only search. *)
   }
 
   (* A completed level of the search: predecessor, the loaded link used as
@@ -58,18 +63,19 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   }
 
   type session = {
-    h : S.handle;
-    prot : S.shield array;  (* 2*max_level + 2 *)
-    backup : S.shield array;
-    scratch : S.shield array;
+    h : X.handle;
+    prot : X.shield array;  (* 2*max_level + 2 *)
+    backup : X.shield array;
+    scratch : X.shield array;
     mutable rot : int;
-    pred_sh : S.shield;  (* keeps the current pred protected across steps *)
-    level_sh : S.shield array;  (* lasting protection of completed levels *)
+    pred_sh : X.shield;  (* keeps the current pred protected across steps *)
+    level_sh : X.shield array;  (* lasting protection of completed levels *)
     rng : Hpbrcu_runtime.Rng.t;
   }
 
-  let create () =
+  let create dom =
     {
+      dom;
       head =
         {
           blk = Alloc.block ();
@@ -79,26 +85,29 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         };
       pools = Array.init (max_level + 1) (fun _ -> Pool.create ());
       level_seed = Atomic.make 1;
+      helping_get =
+        (X.caps (Hpbrcu_core.Smr_intf.Dom.config (X.dom dom))).per_node
+        = ProtectAndValidate;
     }
 
   let session t =
-    let h = S.register () in
+    let h = X.register t.dom in
     {
       h;
-      prot = Array.init ((2 * max_level) + 2) (fun _ -> S.new_shield h);
-      backup = Array.init ((2 * max_level) + 2) (fun _ -> S.new_shield h);
-      scratch = Array.init 4 (fun _ -> S.new_shield h);
+      prot = Array.init ((2 * max_level) + 2) (fun _ -> X.new_shield h);
+      backup = Array.init ((2 * max_level) + 2) (fun _ -> X.new_shield h);
+      scratch = Array.init 4 (fun _ -> X.new_shield h);
       rot = 0;
-      pred_sh = S.new_shield h;
-      level_sh = Array.init (2 * max_level) (fun _ -> S.new_shield h);
+      pred_sh = X.new_shield h;
+      level_sh = Array.init (2 * max_level) (fun _ -> X.new_shield h);
       rng =
         Hpbrcu_runtime.Rng.create
           ~seed:(Atomic.fetch_and_add t.level_seed 0x9E3779B9);
     }
 
   let close_session s =
-    S.flush s.h;
-    S.unregister s.h
+    X.flush s.h;
+    X.unregister s.h
 
   let random_height s =
     let lvl = ref 1 in
@@ -110,11 +119,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
   let alloc_node t s key value =
     let h = random_height s in
     let reuse =
-      if not S.recycles then None
+      if not X.recycles then None
       else
         match Pool.acquire t.pools.(h) with
-        | Some n when Block.retire_era n.blk <> S.current_era () ->
-            Block.reanimate n.blk ~era:(S.current_era ());
+        | Some n when Block.retire_era n.blk <> X.current_era t.dom ->
+            Block.reanimate n.blk ~era:(X.current_era t.dom);
             n.key <- key;
             n.value <- value;
             Array.iter (fun c -> Link.set c Link.null) n.next;
@@ -127,35 +136,35 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
     match reuse with
     | Some n -> n
     | None ->
-        let b = Alloc.block ~recyclable:S.recycles () in
-        Block.set_birth_era b ~era:(S.current_era ());
+        let b = Alloc.block ~recyclable:X.recycles () in
+        Block.set_birth_era b ~era:(X.current_era t.dom);
         { blk = b; key; value; next = Array.init h (fun _ -> Link.cell None) }
 
   (* Unpublished node: back to the pool, or booked as abandoned so the
      leak-at-quiescence accounting stays exact (DESIGN.md §11). *)
   let discard t n =
-    if S.recycles then Pool.release t.pools.(height n) n
+    if X.recycles then Pool.release t.pools.(height n) n
     else Alloc.abandon n.blk
 
   let scratch_read s ?src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    S.read s.h sh ?src ~hdr:blk cell
+    X.read s.h sh ?src ~hdr:blk cell
 
   let key_of s n =
     let k = n.key in
-    S.deref s.h n.blk;
+    X.deref s.h n.blk;
     k
 
   (* Checkpoint protection: every node the cursor can still reach. *)
-  let protect_cursor (sh : S.shield array) c =
-    S.protect sh.(0) (Some c.pred.blk);
-    S.protect sh.(1) (Option.map blk (Link.target c.plink));
+  let protect_cursor (sh : X.shield array) c =
+    X.protect sh.(0) (Some c.pred.blk);
+    X.protect sh.(1) (Option.map blk (Link.target c.plink));
     List.iteri
       (fun i lr ->
         if (2 * i) + 3 < Array.length sh then begin
-          S.protect sh.((2 * i) + 2) (Some lr.lpred.blk);
-          S.protect sh.((2 * i) + 3) (Option.map blk lr.lsucc)
+          X.protect sh.((2 * i) + 2) (Some lr.lpred.blk);
+          X.protect sh.((2 * i) + 3) (Option.map blk lr.lsucc)
         end)
       c.levels
 
@@ -167,7 +176,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   let init_cursor t s () =
     let lvl = max_level - 1 in
-    S.protect s.pred_sh (Some t.head.blk);
+    X.protect s.pred_sh (Some t.head.blk);
     { lvl; pred = t.head; plink = scratch_read s t.head.next.(lvl); levels = [] }
 
   (* One step of the search.  [help] unlinks marked nodes (never retires —
@@ -184,8 +193,8 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
       let lsucc = Link.target c.plink in
       let i = max_level - 1 - c.lvl in
       if 2 * i < Array.length s.level_sh then begin
-        S.protect s.level_sh.(2 * i) (Some c.pred.blk);
-        S.protect s.level_sh.((2 * i) + 1) (Option.map blk lsucc)
+        X.protect s.level_sh.(2 * i) (Some c.pred.blk);
+        X.protect s.level_sh.((2 * i) + 1) (Option.map blk lsucc)
       end;
       let levels = { lpred = c.pred; llink = c.plink; lsucc } :: c.levels in
       if c.lvl = 0 then begin
@@ -224,7 +233,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         else
           let k = key_of s curr in
           if k < key then begin
-            S.protect s.pred_sh (Some curr.blk);
+            X.protect s.pred_sh (Some curr.blk);
             Continue { c with pred = curr; plink = succ }
           end
           else complete_level c)
@@ -234,7 +243,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
      and whether the key was found at level 0. *)
   let rec search t s key ~help =
     match
-      S.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
+      X.traverse s.h ~prot:s.prot ~backup:s.backup ~protect:protect_cursor
         ~validate:validate_cursor ~init:(init_cursor t s)
         ~step:(step t s key ~help)
     with
@@ -243,14 +252,10 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
 
   (* ---------------- operations ---------------- *)
 
-  (* HP must help (it cannot traverse past marked nodes safely); everyone
-     else gets the read-only search. *)
-  let helping_get = S.caps.Hpbrcu_core.Caps.per_node = Hpbrcu_core.Caps.ProtectAndValidate
-
-  let get t s key = S.op s.h (fun () -> snd (search t s key ~help:helping_get))
+  let get t s key = X.op s.h (fun () -> snd (search t s key ~help:t.helping_get))
 
   let insert t s key value =
-    S.op s.h (fun () ->
+    X.op s.h (fun () ->
         let n = alloc_node t s key value in
         let h = height n in
         let rec attempt () =
@@ -305,7 +310,7 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
         attempt ())
 
   let remove t s key =
-    S.op s.h (fun () ->
+    X.op s.h (fun () ->
         let attempt () =
           let levels, found = search t s key ~help:true in
           if not found then false
@@ -335,11 +340,11 @@ module Make (S : Hpbrcu_core.Smr_intf.S) : Ds_intf.MAP = struct
             | `Won ->
                 (* Unlink everywhere via the helping search, then retire. *)
                 ignore (search t s key ~help:true : level_rec array * bool);
-                S.retire s.h victim.blk
-                  ~free:(fun () -> if S.recycles then Pool.release t.pools.(vh) victim);
+                X.retire s.h victim.blk
+                  ~free:(fun () -> if X.recycles then Pool.release t.pools.(vh) victim);
                 true
         in
         attempt ())
 
-  let cleanup t s = ignore (S.op s.h (fun () -> search t s max_int ~help:true))
+  let cleanup t s = ignore (X.op s.h (fun () -> search t s max_int ~help:true))
 end

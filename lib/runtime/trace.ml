@@ -346,6 +346,20 @@ let disable () =
   flight_on := false;
   on := false
 
+(** [muted f] runs [f] with recording suspended, then restores the
+    previous state: whatever [f] emits is dropped as if the tracer were
+    off.  Harnesses destroy a cell's domain under it, so teardown reclaims
+    stay out of a log the caller dumps afterwards. *)
+let muted f =
+  let was_on = !on and was_flight = !flight_on in
+  on := false;
+  flight_on := false;
+  Fun.protect
+    ~finally:(fun () ->
+      on := was_on;
+      flight_on := was_flight)
+    f
+
 (* Enabled-path body, out of line so the disabled path in emit/emit2 is a
    ref read and a branch with no call. *)
 let emit_enabled ev arg arg2 =

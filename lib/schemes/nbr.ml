@@ -19,9 +19,9 @@
     would not be rollback-safe.  The data-structure functors honour this
     via {!Caps.supports_nbr}.
 
-    A [Config.Large] domain is the paper's NBR-Large: an 8192-retirement
-    batch that trades footprint for fewer signals ({!Impl.caps} picks the
-    name from the batch size).
+    A domain created under {!Config.large_batch} is the paper's NBR-Large:
+    an 8192-retirement batch that trades footprint for fewer signals
+    ({!Impl.caps} picks the name from the batch size).
 
     The domain embeds an {!Hp_core.domain} (same {!Smr_intf.Dom.t}
     identity) for shields and the reclamation scan, plus the participant
@@ -277,8 +277,3 @@ module Impl : Smr_intf.SCHEME = struct
         max_signals_inflight = Signal.max_inflight ();
       }
 end
-
-(** Compatibility: the old single-global surface over a hidden default
-    domain. *)
-module Make (C : Config.CONFIG) () : Smr_intf.S =
-  Smr_intf.Globalize (Impl) (C) ()

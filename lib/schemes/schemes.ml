@@ -1,97 +1,51 @@
-(** Canonical instantiations of the ten reclamation schemes benchmarked in
-    §6, with the paper's parameters ({!Hpbrcu_core.Config.default}:
-    128-retirement batches, force threshold 2; NBR-Large: 8192).
+(** The ten reclamation schemes benchmarked in §6 (plus HE and IBR, which
+    complete Table 2), as first-class {!Hpbrcu_core.Smr_intf.SCHEME}
+    implementations keyed by canonical name, and the named configs the
+    harnesses create their domains under.
 
-    Two surfaces coexist since the first-class-domain redesign:
-
-    - the compat modules below ([NR], [RCU], …) are
-      {!Hpbrcu_core.Smr_intf.Globalize} wrappers, each owning one hidden
-      default domain — the pre-domain global API, used by the existing
-      matrix/bench harnesses;
-    - {!impls} packs the underlying domain-valued implementations
-      ({!Hpbrcu_core.Smr_intf.SCHEME}), for harnesses that create and
-      destroy their own domains (sharded structures, the hunt's
-      fresh-domain cells, multi-domain tests). *)
+    A scheme here is stateless: every harness [create]s the domains of its
+    cell from an {!impls} entry and a config — the paper's parameters
+    ({!Hpbrcu_core.Config.default}: 128-retirement batches, force
+    threshold 2; NBR-Large: {!Hpbrcu_core.Config.large_batch}, 8192) or
+    one of the tunings below — and [destroy]s them when the cell ends. *)
 
 module Config = Hpbrcu_core.Config
 
-module NR = Nr.Make ()
-module RCU = Ebr.Make (Config.Default) ()
-module HP = Hp.Make (Config.Default) ()
-module HPPP = Hppp.Make (Config.Default) ()
-module PEBR = Pebr.Make (Config.Default) ()
-module NBR = Nbr.Make (Config.Default) ()
-module NBR_large = Nbr.Make (Config.Large) ()
-module VBR = Vbr.Make (Config.Default) ()
-module HP_RCU = Hp_rcu.Make (Config.Default) ()
-module HP_BRCU = Hp_brcu.Make (Config.Default) ()
-
-(* Table 2's remaining columns — not part of the paper's §6 suite, but
-   implemented so the robustness/efficiency comparison is complete. *)
-module HE = He.Make (Config.Default) ()
-module IBR = Ibr.Make (Config.Default) ()
-
-(** Small-batch instances for the scaled long-running-operation
-    experiments: the paper's key ranges (2^18-2^29) shrink by ~2^10 in this
-    container, so the 128-retirement batch shrinks proportionally — with
-    the paper's batch, every scheme's footprint would be dominated by the
-    batch floor and the growth the experiment demonstrates would be
-    invisible. *)
-module Small_cfg : Config.CONFIG = struct
-  let config =
-    { Config.default with batch = 32; max_local_tasks = 16; backup_period = 32; max_steps = 32 }
-end
-
-module Small = struct
-  module NR = Nr.Make ()
-  module RCU = Ebr.Make (Small_cfg) ()
-  module HP = Hp.Make (Small_cfg) ()
-  module HPPP = Hppp.Make (Small_cfg) ()
-  module PEBR = Pebr.Make (Small_cfg) ()
-  module NBR = Nbr.Make (Small_cfg) ()
-  module NBR_large = Nbr.Make (Config.Large) ()
-  module VBR = Vbr.Make (Small_cfg) ()
-  module HP_RCU = Hp_rcu.Make (Small_cfg) ()
-  module HP_BRCU = Hp_brcu.Make (Small_cfg) ()
-end
+(** Small-batch tuning for the scaled long-running-operation experiments:
+    the paper's key ranges (2^18-2^29) shrink by ~2^10 in this container,
+    so the 128-retirement batch shrinks proportionally — with the paper's
+    batch, every scheme's footprint would be dominated by the batch floor
+    and the growth the experiment demonstrates would be invisible. *)
+let small_cfg =
+  { Config.default with batch = 32; max_local_tasks = 16; backup_period = 32; max_steps = 32 }
 
 (** Hunt tuning (lib/check): tiny batches and a hair-trigger force
     threshold so the interesting reclamation machinery — flushes, forced
     epoch advances, neutralization signals — fires every few operations
     instead of every few thousand, maximizing what a short fuzzed schedule
-    can reach.  Since the first-class-domain redesign the hunt does not
-    instantiate compat modules: each case [create]s a fresh domain of the
-    scheme's {!impls} entry under this config, and [destroy]s it at census
-    time — no cross-case state survives by construction. *)
-module Hunt_cfg : Config.CONFIG = struct
-  let config =
-    {
-      Config.default with
-      batch = 16;
-      max_local_tasks = 4;
-      backup_period = 16;
-      max_steps = 16;
-      force_threshold = 1;
-    }
-end
+    can reach.  Each hunt case [create]s a fresh domain under this config
+    and [destroy]s it at census time, so no state survives across cases. *)
+let hunt_cfg =
+  {
+    Config.default with
+    batch = 16;
+    max_local_tasks = 4;
+    backup_period = 16;
+    max_steps = 16;
+    force_threshold = 1;
+  }
 
 (* Planted bugs for mutation-testing the hunt itself (never part of any
-   benchmark suite).  [Hunt_nomask_cfg] drops BRCU's Mask (Algorithm 6) so
+   benchmark suite).  [hunt_nomask_cfg] drops BRCU's Mask (Algorithm 6) so
    a self-neutralization can abort a physical-deletion region mid-chain;
-   [Hunt_nodb_cfg] drops §4.3's double buffering so rollbacks can tear
+   [hunt_nodb_cfg] drops §4.3's double buffering so rollbacks can tear
    Traverse checkpoints. *)
-module Hunt_nomask_cfg : Config.CONFIG = struct
-  let config = { Hunt_cfg.config with abort_masking = false }
-end
+let hunt_nomask_cfg = { hunt_cfg with abort_masking = false }
+let hunt_nodb_cfg = { hunt_cfg with double_buffering = false }
 
-module Hunt_nodb_cfg : Config.CONFIG = struct
-  let config = { Hunt_cfg.config with double_buffering = false }
-end
-
-(** First-class scheme implementations, keyed by canonical name.  Each
-    packs the domain-valued API: [create] as many independent domains of a
-    scheme as needed and [destroy] them when done, instead of sharing the
-    compat modules' hidden default domain. *)
+(** First-class scheme implementations, keyed by canonical name: [create]
+    as many independent domains of a scheme as needed and [destroy] them
+    when done. *)
 let impls : (string * (module Hpbrcu_core.Smr_intf.SCHEME)) list =
   [
     ("NR", (module Nr.Impl));
@@ -108,46 +62,3 @@ let impls : (string * (module Hpbrcu_core.Smr_intf.SCHEME)) list =
   ]
 
 let find_impl name = List.assoc_opt name impls
-
-(** Scheme-generic view for reporting and housekeeping. *)
-type info = {
-  name : string;
-  caps : Hpbrcu_core.Caps.t;
-  reset : unit -> unit;
-  stats : unit -> Hpbrcu_runtime.Stats.snapshot;
-}
-
-let info (module S : Hpbrcu_core.Smr_intf.S) =
-  { name = S.name; caps = S.caps; reset = S.reset; stats = S.stats }
-
-let all_info : info list =
-  [
-    info (module NR);
-    info (module RCU);
-    info (module HP);
-    info (module HPPP);
-    info (module PEBR);
-    info (module NBR);
-    info (module NBR_large);
-    info (module VBR);
-    info (module HP_RCU);
-    info (module HP_BRCU);
-    info (module HE);
-    info (module IBR);
-    info (module Small.NR);
-    info (module Small.RCU);
-    info (module Small.HP);
-    info (module Small.HPPP);
-    info (module Small.PEBR);
-    info (module Small.NBR);
-    info (module Small.NBR_large);
-    info (module Small.VBR);
-    info (module Small.HP_RCU);
-    info (module Small.HP_BRCU);
-  ]
-
-(** Reset every scheme's global state and the allocator counters; call
-    between experiment cells. *)
-let reset_all () =
-  List.iter (fun i -> i.reset ()) all_info;
-  Hpbrcu_alloc.Alloc.reset ()

@@ -8,7 +8,12 @@ module Clock = Hpbrcu_runtime.Clock
 module Stats = Hpbrcu_runtime.Stats
 module Trace = Hpbrcu_runtime.Trace
 
-module Make (L : Hpbrcu_ds.Ds_intf.MAP) = struct
+module Make
+    (X : Hpbrcu_core.Smr_intf.SCHEME)
+    (L : Hpbrcu_ds.Ds_intf.MAP with type domain = X.domain) =
+struct
+  module G = Hpbrcu_core.Smr_intf.Scoped (X)
+
   (* Pre-insert [prefill] distinct keys drawn as a random prefix of a
      shuffled permutation (uniform occupancy; avoids degenerate shapes in
      the BST). *)
@@ -87,27 +92,47 @@ module Make (L : Hpbrcu_ds.Ds_intf.MAP) = struct
       Stats.Histogram.record lat.rem (lat.now () - t0)
     end
 
-  let run ?(create = L.create) (c : Spec.cell)
-      ~(scheme_stats : unit -> Stats.snapshot) ~(reset : unit -> unit) :
-      Spec.result =
-    reset ();
+  (** [run ~config cell] — one cell on a domain of its own, created under
+      [config] and destroyed when the cell ends. *)
+  let run ~config ?(create = L.create) (c : Spec.cell) : Spec.result =
+    G.with_domain config @@ fun d ->
     Alloc.reset ();
     Alloc.set_strict false;
-    let t = create () in
+    let t = create d in
     prefill t c;
     Alloc.reset_peak ();
     let lat = make_lat c in
     let stop = Atomic.make false in
     let ops = Array.make c.threads 0 in
-    let t0 = Clock.now () in
+    let t_spawn = Clock.now () in
     (* Arm the starvation rescue: coarse-restarting schemes can starve an
        operation indefinitely (the Figure 1 effect), which would otherwise
        keep a worker from ever reaching its stop check. *)
     (match c.limit with
-    | Spec.Duration d -> Sched.set_deadline (t0 +. d +. (d /. 2.))
+    | Spec.Duration d -> Sched.set_deadline (t_spawn +. d +. (d /. 2.))
     | Spec.Ops _ -> ());
+    (* Domain workers register, then meet at a start barrier: the last to
+       arrive stamps [t0], and each worker stamps its own finish, so the
+       cell's elapsed time excludes Domain.spawn and join.  Fiber cells
+       keep the spawn-to-join clock, so their schedules stay as they
+       were. *)
+    let domains = c.mode = Spec.Domains in
+    let t0 = Atomic.make t_spawn and released = Atomic.make false in
+    let arrived = Atomic.make 0 and finished = Array.make c.threads t_spawn in
+    let start_barrier () =
+      if Atomic.fetch_and_add arrived 1 = c.threads - 1 then begin
+        Atomic.set t0 (Clock.now ());
+        Atomic.set released true
+      end
+      else
+        while not (Atomic.get released) do
+          Domain.cpu_relax ()
+        done
+    in
     let worker tid =
       let s = L.session t in
+      if domains then start_barrier ();
+      let t0 = Atomic.get t0 in
       let rng = Rng.create ~seed:(c.seed + (tid * 7919) + 13) in
       (match c.limit with
       | Spec.Ops n ->
@@ -127,14 +152,18 @@ module Make (L : Hpbrcu_ds.Ds_intf.MAP) = struct
               Atomic.set stop true
           done;
           ops.(tid) <- !n);
-      try L.close_session s with Sched.Deadline -> ()
+      (try L.close_session s with Sched.Deadline -> ());
+      finished.(tid) <- Clock.now ()
     in
     (match c.mode with
     | Spec.Domains -> Sched.run Sched.Domains ~nthreads:c.threads worker
     | Spec.Fibers seed ->
         Sched.run (Sched.Fibers { seed; switch_every = 4 }) ~nthreads:c.threads worker);
     Sched.clear_deadline ();
-    let elapsed = Clock.now () -. t0 in
+    let elapsed =
+      if domains then Array.fold_left max 0. finished -. Atomic.get t0
+      else Clock.now () -. t_spawn
+    in
     let total_ops = Array.fold_left ( + ) 0 ops in
     let st = Alloc.stats () in
     let scheme =
@@ -142,7 +171,7 @@ module Make (L : Hpbrcu_ds.Ds_intf.MAP) = struct
          per-domain drop lanes into the snapshot and assert the census
          identity (merged + dropped = emitted) — the recorder must never
          lose events silently. *)
-      let snap = scheme_stats () in
+      let snap = X.stats d in
       match c.mode with
       | Spec.Domains when Trace.enabled () && Trace.sink () = Trace.Flight ->
           let ok, msg = Trace.flight_census () in

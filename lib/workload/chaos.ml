@@ -40,7 +40,7 @@ module Trace = Hpbrcu_runtime.Trace
 module Fault = Hpbrcu_runtime.Fault
 module Backend = Hpbrcu_runtime.Backend
 module Clock = Hpbrcu_runtime.Clock
-module Schemes = Hpbrcu_schemes.Schemes
+module SI = Hpbrcu_core.Smr_intf
 module Caps = Hpbrcu_core.Caps
 module Ds = Hpbrcu_ds
 module Json = Report.Json
@@ -223,11 +223,12 @@ type cell = {
   snap : Stats.snapshot;  (** typed scheme counters at window end *)
 }
 
-module Runner (L : Ds.Ds_intf.MAP) = struct
-  let go ~(p : params) ~(pl : Fault.plan) ~seed ~scheme_stats ~bound :
+module Runner (X : SI.SCHEME) (L : Ds.Ds_intf.MAP with type domain = X.domain) =
+struct
+  let go ~(p : params) ~(pl : Fault.plan) ~seed ~d ~bound :
       string * string * int -> cell =
    fun (scheme, plan, _) ->
-    let t = L.create () in
+    let t = L.create d in
     (* Prefill to 50% before any fault is armed: the plan's occurrence
        counters must start at the workload proper or a cell's faults would
        depend on prefill length. *)
@@ -284,7 +285,7 @@ module Runner (L : Ds.Ds_intf.MAP) = struct
       bound;
       crashes;
       injected;
-      snap = scheme_stats ();
+      snap = X.stats d;
     }
 end
 
@@ -293,20 +294,18 @@ end
     returned alongside (used by the determinism check). *)
 let run_one ?(traced = false) ~scheme ~plan_id ~seed (p : params) :
     cell * Trace.record list =
-  let (module S : Matrix.SCHEME) =
-    (* Small-batch twins keep bounds (and cells) small; HE/IBR exist only
-       default-tuned. *)
-    try Matrix.find_scheme ~tuning:`Small scheme
-    with Invalid_argument _ -> Matrix.find_scheme scheme
+  (* The small-batch tuning keeps bounds (and cells) small. *)
+  let ((module X : SI.SCHEME), config) as s =
+    Matrix.find_scheme ~tuning:`Small scheme
   in
   let p = effective_params p plan_id in
   let pl = plan_of p plan_id in
   let nthreads = p.readers + p.writers in
-  let bound = S.caps.Caps.bound ~nthreads in
-  (* Reset BEFORE arming the tracer: draining the previous cell's leftover
-     retirements emits Reclaim events that depend on which cell ran last,
-     which would break the byte-identical-replay guarantee. *)
-  Schemes.reset_all ();
+  let bound = (Matrix.caps s).Caps.bound ~nthreads in
+  (* The cell's domain is destroyed after the log is dumped: its teardown
+     reclaims must not enter the byte-identical-replay comparison. *)
+  let module G = SI.Scoped (X) in
+  G.with_domain config @@ fun d ->
   Alloc.reset ();
   Alloc.set_strict false;
   (* Spool, not ring: the determinism probes compare whole logs, and a
@@ -315,20 +314,9 @@ let run_one ?(traced = false) ~scheme ~plan_id ~seed (p : params) :
      analyze]. *)
   if traced then Trace.enable ~sink:Trace.Spool ();
   let cell =
-    let key = (scheme, plan_name plan_id, seed) in
-    if scheme = "HP" then
-      let module L = Ds.Hm_list.Make (S) in
-      let module R = Runner (L) in
-      R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound key
-    else if Matrix.supports (module S) Caps.HHSList then
-      let module L = Ds.Harris_list.Make_hhs (S) in
-      let module R = Runner (L) in
-      R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound key
-    else
-      (* HE/IBR: hazard-pointer applicability — HMList. *)
-      let module L = Ds.Hm_list.Make (S) in
-      let module R = Runner (L) in
-      R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound key
+    let module B = (val Matrix.buckets s) in
+    let module R = Runner (X) (B (X)) in
+    R.go ~p ~pl ~seed ~d ~bound (scheme, plan_name plan_id, seed)
   in
   let log = if traced then Trace.dump () else [] in
   if traced then Trace.disable ();
@@ -514,11 +502,12 @@ let pp_report ppf (r : report) =
 let wall_budget_s (p : params) =
   Float.max 10. (float_of_int p.tick_budget *. float_of_int (Fault.tick_ns ()) *. 1e-9)
 
-module Druner (L : Ds.Ds_intf.MAP) = struct
-  let go ~(p : params) ~(pl : Fault.plan) ~seed ~scheme_stats ~bound :
+module Druner (X : SI.SCHEME) (L : Ds.Ds_intf.MAP with type domain = X.domain) =
+struct
+  let go ~(p : params) ~(pl : Fault.plan) ~seed ~d ~bound :
       string * string * int -> cell =
    fun (scheme, plan, _) ->
-    let t = L.create () in
+    let t = L.create d in
     (* Prefill single-threaded, before any fault is armed, as in fiber
        mode: occurrence counters must index the workload proper. *)
     let s = L.session t in
@@ -597,7 +586,7 @@ module Druner (L : Ds.Ds_intf.MAP) = struct
       bound;
       crashes;
       injected;
-      snap = scheme_stats ();
+      snap = X.stats d;
     }
 end
 
@@ -605,31 +594,21 @@ end
     domains, plus the post-join allocator census verdict. *)
 let run_domains_one ~scheme ~plan_id ~seed (p : params) : cell * (bool * string)
     =
-  let (module S : Matrix.SCHEME) =
-    try Matrix.find_scheme ~tuning:`Small scheme
-    with Invalid_argument _ -> Matrix.find_scheme scheme
+  let ((module X : SI.SCHEME), config) as s =
+    Matrix.find_scheme ~tuning:`Small scheme
   in
   let p = effective_params p plan_id in
   let pl = plan_of p plan_id in
   let nthreads = p.readers + p.writers in
-  let bound = S.caps.Caps.bound ~nthreads in
-  Schemes.reset_all ();
+  let bound = (Matrix.caps s).Caps.bound ~nthreads in
+  let module G = SI.Scoped (X) in
+  G.with_domain config @@ fun d ->
   Alloc.reset ();
   Alloc.set_strict false;
   let cell =
-    let key = (scheme, plan_name plan_id, seed) in
-    if scheme = "HP" then
-      let module L = Ds.Hm_list.Make (S) in
-      let module R = Druner (L) in
-      R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound key
-    else if Matrix.supports (module S) Caps.HHSList then
-      let module L = Ds.Harris_list.Make_hhs (S) in
-      let module R = Druner (L) in
-      R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound key
-    else
-      let module L = Ds.Hm_list.Make (S) in
-      let module R = Druner (L) in
-      R.go ~p ~pl ~seed ~scheme_stats:S.stats ~bound key
+    let module B = (val Matrix.buckets s) in
+    let module R = Druner (X) (B (X)) in
+    R.go ~p ~pl ~seed ~d ~bound (scheme, plan_name plan_id, seed)
   in
   (cell, Domains_bench.census ())
 

@@ -48,7 +48,6 @@ module Trace = Hpbrcu_runtime.Trace
 module Stats = Hpbrcu_runtime.Stats
 module Watchdog = Hpbrcu_runtime.Watchdog
 module Config = Hpbrcu_core.Config
-module Caps = Hpbrcu_core.Caps
 module SI = Hpbrcu_core.Smr_intf
 module Dom = SI.Dom
 module Schemes = Hpbrcu_schemes.Schemes
@@ -230,8 +229,9 @@ let zipf_sample cdf rng =
 (* Shards as generations                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A session on one shard's current generation, as closures (the map and
-   scheme types stay hidden, like the sharded hashmap's). *)
+(* A session on one shard's current generation, as closures: the map
+   and scheme types stay hidden, since a recycle swaps them out with the
+   generation. *)
 type sess = {
   k_get : int -> bool;
   k_insert : int -> int -> bool;
@@ -266,11 +266,9 @@ type shard = {
   mutable sh_retired_peak : int;  (** worst peak among recycled generations *)
 }
 
-(* Build one generation.  Runtime functor application, exactly like
-   [Sharded_hashmap.mk_shard]; the bucket flavour follows the paper's
-   split (HMList under HP, HHSList elsewhere). *)
+(* Build one generation.  Runtime functor application; the bucket flavour
+   is {!Matrix.bucket_list}'s. *)
 let make_gen (module X : SI.SCHEME) ~label ~buckets ~slots ~limit cfg : gen =
-  let caps = X.caps cfg in
   let d = X.create ~label cfg in
   let meta = X.dom d in
   if limit > 0 then Alloc.Admission.set_limit (Dom.id meta) limit;
@@ -291,28 +289,15 @@ let make_gen (module X : SI.SCHEME) ~label ~buckets ~slots ~limit cfg : gen =
     }
   in
   let g_open =
-    if X.scheme = "HP" || caps.Caps.supports Caps.HHSList = Caps.No then begin
-      let module S = SI.Bind (X) (struct let it = d end) in
-      let module M = Ds.Hashmap.Make_gen (Ds.Hm_list.Make) (S) in
-      let m = M.create_sized buckets in
-      mk_open
-        (fun () -> M.session m)
-        ~get:(fun s k -> M.get m s k)
-        ~insert:(fun s k v -> M.insert m s k v)
-        ~remove:(fun s k -> M.remove m s k)
-        ~close:M.close_session
-    end
-    else begin
-      let module S = SI.Bind (X) (struct let it = d end) in
-      let module M = Ds.Hashmap.Make_gen (Ds.Harris_list.Make_hhs) (S) in
-      let m = M.create_sized buckets in
-      mk_open
-        (fun () -> M.session m)
-        ~get:(fun s k -> M.get m s k)
-        ~insert:(fun s k v -> M.insert m s k v)
-        ~remove:(fun s k -> M.remove m s k)
-        ~close:M.close_session
-    end
+    let module B = (val Matrix.buckets ((module X), cfg)) in
+    let module M = Ds.Hashmap.Make_gen (B) (X) in
+    let m = M.create_sized d buckets in
+    mk_open
+      (fun () -> M.session m)
+      ~get:(fun s k -> M.get m s k)
+      ~insert:(fun s k v -> M.insert m s k v)
+      ~remove:(fun s k -> M.remove m s k)
+      ~close:M.close_session
   in
   {
     g_meta = meta;

@@ -7,7 +7,8 @@
     throughput (plotted as a ratio to NR) and the peak number of
     unreclaimed blocks.
 
-    HP runs HMList; everyone else runs HHSList, as in §6. *)
+    HP runs HMList, as in §6, and so do HE and IBR, which cannot run
+    HHSList; everyone else runs HHSList ({!Matrix.bucket_list}). *)
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
@@ -15,8 +16,6 @@ module Rng = Hpbrcu_runtime.Rng
 module Clock = Hpbrcu_runtime.Clock
 module Stats = Hpbrcu_runtime.Stats
 module Trace = Hpbrcu_runtime.Trace
-module Schemes = Hpbrcu_schemes.Schemes
-module Ds = Hpbrcu_ds
 
 type config = {
   key_range : int;  (** list key range; op length ≈ range/4 links *)
@@ -43,12 +42,17 @@ type outcome = {
   writer_latency : Stats.Histogram.summary;  (** per-insert/remove latency *)
 }
 
-module Run (L : Hpbrcu_ds.Ds_intf.MAP) = struct
-  let go (c : config) ~(scheme_stats : unit -> Stats.snapshot) : outcome =
-    Schemes.reset_all ();
+module Run
+    (X : Hpbrcu_core.Smr_intf.SCHEME)
+    (L : Hpbrcu_ds.Ds_intf.MAP with type domain = X.domain) =
+struct
+  module G = Hpbrcu_core.Smr_intf.Scoped (X)
+
+  let go (c : config) ~config : outcome =
+    G.with_domain config @@ fun d ->
     Alloc.reset ();
     Alloc.set_strict false;
-    let t = L.create () in
+    let t = L.create d in
     (* Prefill to 50%. *)
     let s = L.session t in
     let rng = Rng.create ~seed:(c.seed lxor 0xfeed) in
@@ -125,7 +129,7 @@ module Run (L : Hpbrcu_ds.Ds_intf.MAP) = struct
     let st = Alloc.stats () in
     let scheme =
       (* Same flight-recorder census + drop-lane fold as Cell_runner. *)
-      let snap = scheme_stats () in
+      let snap = X.stats d in
       match c.mode with
       | Spec.Domains when Trace.enabled () && Trace.sink () = Trace.Flight ->
           let ok, msg = Trace.flight_census () in
@@ -146,20 +150,17 @@ module Run (L : Hpbrcu_ds.Ds_intf.MAP) = struct
     }
 end
 
-(** [run ~scheme config] — long-running-read benchmark for one scheme.
-    Uses the small-batch scheme instances (see {!Hpbrcu_schemes.Schemes.Small}):
-    the batch threshold scales down with the scaled key ranges. *)
-let run ~scheme (c : config) : outcome option =
-  let (module S) = Matrix.find_scheme ~tuning:`Small scheme in
-  if scheme = "HP" then
-    let module L = Ds.Hm_list.Make (S) in
-    let module R = Run (L) in
-    Some (R.go c ~scheme_stats:S.stats)
-  else if Matrix.supports (module S) Hpbrcu_core.Caps.HHSList then
-    let module L = Ds.Harris_list.Make_hhs (S) in
-    let module R = Run (L) in
-    Some (R.go c ~scheme_stats:S.stats)
-  else None
+(** [run ~scheme config] — long-running-read benchmark for one scheme, on
+    the list {!Matrix.bucket_list} picks for it.  Uses the small-batch
+    tuning ({!Hpbrcu_schemes.Schemes.small_cfg}): the batch threshold
+    scales down with the scaled key ranges. *)
+let run ~scheme (c : config) : outcome =
+  let ((module X : Hpbrcu_core.Smr_intf.SCHEME), config) as s =
+    Matrix.find_scheme ~tuning:`Small scheme
+  in
+  let module B = (val Matrix.buckets s) in
+  let module R = Run (X) (B (X)) in
+  R.go c ~config
 
 (** [run_traced ~scheme ~out c] — one long-running-read cell with the
     tracer recording, written to [out] on completion (the input format of
@@ -168,11 +169,7 @@ let run ~scheme (c : config) : outcome option =
     flight recorder (DESIGN.md §15) records lossily-but-counted per-domain
     rings merged into calibrated CLOCK_MONOTONIC ns, with the GC track
     riding along, and the file is tagged ["# unit: ns"]. *)
-let run_traced ~scheme ~out (c : config) : outcome option =
-  (* Reset BEFORE arming the tracer: draining a previous cell's leftovers
-     emits Reclaim events that depend on what ran before (same rule as the
-     chaos replay probes). *)
-  Schemes.reset_all ();
+let run_traced ~scheme ~out (c : config) : outcome =
   Alloc.reset ();
   let unit_ =
     match c.mode with
@@ -186,5 +183,5 @@ let run_traced ~scheme ~out (c : config) : outcome option =
   let r = run ~scheme c in
   let log = Trace.dump () in
   Trace.disable ();
-  if r <> None then Trace.to_file ?unit_ out log;
+  Trace.to_file ?unit_ out log;
   r

@@ -1,46 +1,44 @@
 (** The data-structure × scheme instantiation matrix.
 
     Benchmarks address cells by names ("HHSList", "HP-BRCU"); this module
-    applies the right functors, honours the applicability matrix (Table 1:
-    unsupported pairs return [None]), and picks the paper's bucket-list
-    flavour for HashMap (HMList under HP, HHSList elsewhere). *)
+    resolves a name to a scheme implementation and the config its domains
+    run under, applies the data-structure functors, honours the
+    applicability matrix (Table 1: unsupported pairs return [None]), and
+    picks the paper's bucket-list flavour for HashMap ({!bucket_list}). *)
 
 module Caps = Hpbrcu_core.Caps
+module Config = Hpbrcu_core.Config
+module SI = Hpbrcu_core.Smr_intf
 module Schemes = Hpbrcu_schemes.Schemes
 module Ds = Hpbrcu_ds
 
-module type SCHEME = Hpbrcu_core.Smr_intf.S
+(** A scheme as a cell runs it: the implementation and the config every
+    domain of the cell is created under. *)
+type scheme = (module SI.SCHEME) * Config.t
 
-let schemes : (string * (module SCHEME)) list =
+let impl name =
+  match Schemes.find_impl name with
+  | Some i -> i
+  | None -> invalid_arg ("unknown scheme: " ^ name)
+
+(* The paper's §6 suite with its parameters; NBR-Large is NBR under the
+   8192-retirement batch. *)
+let schemes : (string * scheme) list =
+  let paper name = (name, (impl name, Config.default)) in
   [
-    ("NR", (module Schemes.NR));
-    ("RCU", (module Schemes.RCU));
-    ("HP", (module Schemes.HP));
-    ("HP++", (module Schemes.HPPP));
-    ("PEBR", (module Schemes.PEBR));
-    ("NBR", (module Schemes.NBR));
-    ("NBR-Large", (module Schemes.NBR_large));
-    ("VBR", (module Schemes.VBR));
-    ("HP-RCU", (module Schemes.HP_RCU));
-    ("HP-BRCU", (module Schemes.HP_BRCU));
+    paper "NR";
+    paper "RCU";
+    paper "HP";
+    paper "HP++";
+    paper "PEBR";
+    paper "NBR";
+    ("NBR-Large", (impl "NBR", Config.large_batch));
+    paper "VBR";
+    paper "HP-RCU";
+    paper "HP-BRCU";
     (* Beyond the paper's §6 suite (Table 2 completeness): *)
-    ("HE", (module Schemes.HE));
-    ("IBR", (module Schemes.IBR));
-  ]
-
-(* Small-batch twins for the scaled long-running experiments. *)
-let schemes_small : (string * (module SCHEME)) list =
-  [
-    ("NR", (module Schemes.Small.NR));
-    ("RCU", (module Schemes.Small.RCU));
-    ("HP", (module Schemes.Small.HP));
-    ("HP++", (module Schemes.Small.HPPP));
-    ("PEBR", (module Schemes.Small.PEBR));
-    ("NBR", (module Schemes.Small.NBR));
-    ("NBR-Large", (module Schemes.Small.NBR_large));
-    ("VBR", (module Schemes.Small.VBR));
-    ("HP-RCU", (module Schemes.Small.HP_RCU));
-    ("HP-BRCU", (module Schemes.Small.HP_BRCU));
+    paper "HE";
+    paper "IBR";
   ]
 
 (* Hunt entries for lib/check's schedule/fault exploration: first-class
@@ -52,15 +50,8 @@ let schemes_small : (string * (module SCHEME)) list =
    through {!Hpbrcu_ds.Sharded_hashmap} (one domain per shard).  Variants
    share their base scheme's applicability — [supports] callers strip the
    suffix. *)
-module SI = Hpbrcu_core.Smr_intf
-
-let hunt_impls : (string * ((module SI.SCHEME) * Hpbrcu_core.Config.t)) list =
-  let impl name =
-    match Schemes.find_impl name with
-    | Some i -> i
-    | None -> invalid_arg ("unknown scheme: " ^ name)
-  in
-  let hunt = Schemes.Hunt_cfg.config in
+let hunt_impls : (string * scheme) list =
+  let hunt = Schemes.hunt_cfg in
   [
     ("RCU", (impl "RCU", hunt));
     ("HP", (impl "HP", hunt));
@@ -70,8 +61,8 @@ let hunt_impls : (string * ((module SI.SCHEME) * Hpbrcu_core.Config.t)) list =
     ("HP-BRCU", (impl "HP-BRCU", hunt));
     ("RCU+shards", (impl "RCU", hunt));
     ("RCU+watchdog", (impl "RCU", hunt));
-    ("HP-BRCU!nomask", (impl "HP-BRCU", Schemes.Hunt_nomask_cfg.config));
-    ("HP-BRCU!nodb", (impl "HP-BRCU", Schemes.Hunt_nodb_cfg.config));
+    ("HP-BRCU!nomask", (impl "HP-BRCU", Schemes.hunt_nomask_cfg));
+    ("HP-BRCU!nodb", (impl "HP-BRCU", Schemes.hunt_nodb_cfg));
   ]
 
 let hunt_scheme_names =
@@ -113,13 +104,19 @@ let base_scheme_name n =
 let scheme_names =
   List.filter (fun n -> n <> "HE" && n <> "IBR") (List.map fst schemes)
 
-let find_scheme ?(tuning = `Default) name : (module SCHEME) =
-  let table =
-    match tuning with `Default -> schemes | `Small -> schemes_small
-  in
-  match List.assoc_opt name table with
-  | Some s -> s
-  | None -> invalid_arg ("unknown scheme: " ^ name)
+(** [find_scheme ?tuning name].  [`Small] runs the §6 schemes under
+    {!Schemes.small_cfg} for the scaled long-running experiments; NBR-Large
+    keeps its 8192 batch (the batch defines it), and HE/IBR exist only
+    default-tuned. *)
+let find_scheme ?(tuning = `Default) name : scheme =
+  match (List.assoc_opt name schemes, tuning) with
+  | None, _ -> invalid_arg ("unknown scheme: " ^ name)
+  | Some (i, _), `Small when name <> "NBR-Large" && List.mem name scheme_names
+    ->
+      (i, Schemes.small_cfg)
+  | Some s, _ -> s
+
+let caps ((module X : SI.SCHEME), config) = X.caps config
 
 let ds_of_string = function
   | "HList" -> Caps.HList
@@ -130,56 +127,46 @@ let ds_of_string = function
   | "NMTree" -> Caps.NMTree
   | s -> invalid_arg ("unknown data structure: " ^ s)
 
-(* NBR-Large shares NBR's applicability. *)
-let supports (module S : SCHEME) ds = S.caps.Caps.supports ds <> Caps.No
+let supports s ds = (caps s).Caps.supports ds <> Caps.No
+
+(** The list a scheme's hash-map buckets (and the list-based harnesses)
+    use: HMList under HP, as in the paper, and under every scheme whose
+    caps rule out HHSList (HE, IBR); HHSList everywhere else. *)
+let bucket_list (((module X : SI.SCHEME), _) as s) =
+  if X.scheme = "HP" || not (supports s Caps.HHSList) then Caps.HMList
+  else Caps.HHSList
+
+(** {!bucket_list} as the list functor to apply. *)
+let buckets s : (module Ds.Ds_intf.MAKE) =
+  match bucket_list s with
+  | Caps.HMList -> (module Ds.Hm_list.Make)
+  | _ -> (module Ds.Harris_list.Make_hhs)
 
 (* Hash tables sized so the expected chain length matches the paper's
    (≈1.7 nodes at 50% occupancy). *)
 let bucket_hint key_range = max 16 (key_range / 4)
 
-(** [run_cell ~ds ~scheme cell] executes one experiment cell, or returns
-    [None] when the pair is excluded by Table 1. *)
+(** [run_cell ~ds ~scheme cell] executes one experiment cell on a domain
+    of its own, or returns [None] when the pair is excluded by Table 1. *)
 let run_cell ~(ds : Caps.ds_id) ~(scheme : string) (cell : Spec.cell) :
     Spec.result option =
-  let (module S) = find_scheme scheme in
-  if not (supports (module S) ds) then None
+  let ((module X : SI.SCHEME), config) as s = find_scheme scheme in
+  let run (module L : Ds.Ds_intf.MAP with type domain = X.domain) =
+    let module R = Cell_runner.Make (X) (L) in
+    R.run ~config cell
+  in
+  if not (supports s ds) then None
   else
-    let reset () = Schemes.reset_all () in
-    let scheme_stats () = S.stats () in
-    let r =
-      match ds with
-      | Caps.HList ->
-          let module L = Ds.Harris_list.Make (S) in
-          let module R = Cell_runner.Make (L) in
-          R.run cell ~scheme_stats ~reset
-      | Caps.HMList ->
-          let module L = Ds.Hm_list.Make (S) in
-          let module R = Cell_runner.Make (L) in
-          R.run cell ~scheme_stats ~reset
-      | Caps.HHSList ->
-          let module L = Ds.Harris_list.Make_hhs (S) in
-          let module R = Cell_runner.Make (L) in
-          R.run cell ~scheme_stats ~reset
+    Some
+      (match ds with
+      | Caps.HList -> run (module Ds.Harris_list.Make (X))
+      | Caps.HMList -> run (module Ds.Hm_list.Make (X))
+      | Caps.HHSList -> run (module Ds.Harris_list.Make_hhs (X))
       | Caps.HashMap ->
-          if scheme = "HP" then begin
-            let module L = Ds.Hashmap.Make_gen (Ds.Hm_list.Make) (S) in
-            let module R = Cell_runner.Make (L) in
-            R.run cell ~scheme_stats ~reset
-              ~create:(fun () -> L.create_sized (bucket_hint cell.Spec.key_range))
-          end
-          else begin
-            let module L = Ds.Hashmap.Make_gen (Ds.Harris_list.Make_hhs) (S) in
-            let module R = Cell_runner.Make (L) in
-            R.run cell ~scheme_stats ~reset
-              ~create:(fun () -> L.create_sized (bucket_hint cell.Spec.key_range))
-          end
-      | Caps.SkipList ->
-          let module L = Ds.Skiplist.Make (S) in
-          let module R = Cell_runner.Make (L) in
-          R.run cell ~scheme_stats ~reset
-      | Caps.NMTree ->
-          let module L = Ds.Nmtree.Make (S) in
-          let module R = Cell_runner.Make (L) in
-          R.run cell ~scheme_stats ~reset
-    in
-    Some r
+          let module B = (val buckets s) in
+          let module L = Ds.Hashmap.Make_gen (B) (X) in
+          let module R = Cell_runner.Make (X) (L) in
+          R.run ~config cell ~create:(fun d ->
+              L.create_sized d (bucket_hint cell.Spec.key_range))
+      | Caps.SkipList -> run (module Ds.Skiplist.Make (X))
+      | Caps.NMTree -> run (module Ds.Nmtree.Make (X)))

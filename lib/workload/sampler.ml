@@ -27,8 +27,6 @@ module Sched = Hpbrcu_runtime.Sched
 module Rng = Hpbrcu_runtime.Rng
 module Clock = Hpbrcu_runtime.Clock
 module Stats = Hpbrcu_runtime.Stats
-module Schemes = Hpbrcu_schemes.Schemes
-module Ds = Hpbrcu_ds
 
 type params = {
   scheme : string;
@@ -78,12 +76,17 @@ type outcome = {
   total_ops : int;
 }
 
-module Go (L : Hpbrcu_ds.Ds_intf.MAP) (S : Hpbrcu_core.Smr_intf.S) = struct
-  let go (p : params) : outcome =
-    Schemes.reset_all ();
+module Go
+    (X : Hpbrcu_core.Smr_intf.SCHEME)
+    (L : Hpbrcu_ds.Ds_intf.MAP with type domain = X.domain) =
+struct
+  module G = Hpbrcu_core.Smr_intf.Scoped (X)
+
+  let go (p : params) ~config : outcome =
+    G.with_domain config @@ fun d ->
     Alloc.reset ();
     Alloc.set_strict false;
-    let t = L.create () in
+    let t = L.create d in
     let s = L.session t in
     let rng = Rng.create ~seed:(p.seed lxor 0xfeed) in
     let inserted = ref 0 in
@@ -103,7 +106,7 @@ module Go (L : Hpbrcu_ds.Ds_intf.MAP) (S : Hpbrcu_core.Smr_intf.S) = struct
     let observer =
       Domain.spawn (fun () ->
           while not (Atomic.get observer_stop) do
-            let snap = S.stats () in
+            let snap = X.stats d in
             samples :=
               {
                 t_ms = (Clock.now () -. t0) *. 1e3;
@@ -139,8 +142,8 @@ module Go (L : Hpbrcu_ds.Ds_intf.MAP) (S : Hpbrcu_core.Smr_intf.S) = struct
                 §4 worst case their hazard pointers are supposed to
                 bound and epoch-only schemes cannot. *)
              stall_done := true;
-             let h = S.register () in
-             S.crit h (fun () ->
+             let h = X.register d in
+             X.crit h (fun () ->
                  Atomic.set stalled true;
                  while
                    Clock.now () -. t0 < p.heal_after
@@ -149,7 +152,7 @@ module Go (L : Hpbrcu_ds.Ds_intf.MAP) (S : Hpbrcu_core.Smr_intf.S) = struct
                    Domain.cpu_relax ()
                  done);
              Atomic.set stalled false;
-             S.unregister h
+             X.unregister h
            end
            else if reader then ignore (L.get t s (Rng.int rng p.key_range) : bool)
            else begin
@@ -171,7 +174,7 @@ module Go (L : Hpbrcu_ds.Ds_intf.MAP) (S : Hpbrcu_core.Smr_intf.S) = struct
        observer. *)
     Atomic.set observer_stop true;
     Domain.join observer;
-    let final_snap = S.stats () in
+    let final_snap = X.stats d in
     samples :=
       {
         t_ms = (Clock.now () -. t0) *. 1e3;
@@ -211,20 +214,15 @@ module Go (L : Hpbrcu_ds.Ds_intf.MAP) (S : Hpbrcu_core.Smr_intf.S) = struct
     }
 end
 
-(** [run p] — the balloon/heal cell for [p.scheme] (HP runs HMList,
-    everyone else HHSList, as in Longrun); [None] if the scheme supports
-    neither structure. *)
-let run (p : params) : outcome option =
-  let (module S) = Matrix.find_scheme ~tuning:`Small p.scheme in
-  if p.scheme = "HP" then
-    let module L = Ds.Hm_list.Make (S) in
-    let module G = Go (L) (S) in
-    Some (G.go p)
-  else if Matrix.supports (module S) Hpbrcu_core.Caps.HHSList then
-    let module L = Ds.Harris_list.Make_hhs (S) in
-    let module G = Go (L) (S) in
-    Some (G.go p)
-  else None
+(** [run p] — the balloon/heal cell for [p.scheme], on the list
+    {!Matrix.bucket_list} picks for it (as in Longrun). *)
+let run (p : params) : outcome =
+  let ((module X : Hpbrcu_core.Smr_intf.SCHEME), config) as s =
+    Matrix.find_scheme ~tuning:`Small p.scheme
+  in
+  let module B = (val Matrix.buckets s) in
+  let module G = Go (X) (B (X)) in
+  G.go p ~config
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)

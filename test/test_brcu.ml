@@ -15,7 +15,6 @@ module Cfg = struct
 end
 
 let reset () =
-  Hpbrcu_schemes.Schemes.reset_all ();
   Alloc.reset ();
   Alloc.set_strict true
 
@@ -217,16 +216,14 @@ let test_defer_waits_for_cs () =
 let test_hpbrcu_bound () =
   reset ();
   Alloc.set_strict false;
-  let module S =
-    Hpbrcu_schemes.Hp_brcu.Make (struct
-      let config =
-        { Config.default with batch = 16; max_local_tasks = 8; force_threshold = 2 }
-    end)
-    ()
-  in
+  let module S = Hpbrcu_schemes.Hp_brcu.Impl in
   let module L = Hpbrcu_ds.Harris_list.Make_hhs (S) in
+  let module G = Hpbrcu_core.Smr_intf.Scoped (S) in
+  G.with_domain
+    { Config.default with batch = 16; max_local_tasks = 8; force_threshold = 2 }
+  @@ fun d ->
   let nthreads = 6 in
-  let t = L.create () in
+  let t = L.create d in
   Sched.run (Sched.Fibers { seed = 11; switch_every = 2 }) ~nthreads (fun tid ->
       let s = L.session t in
       let rng = Hpbrcu_runtime.Rng.create ~seed:(tid * 31 + 1) in

@@ -286,6 +286,49 @@ let test_dfs_strategy () =
   Alcotest.(check bool) "dfs finds nothing in RCU" true (Hunt.clean r);
   Alcotest.(check bool) "dfs ran" true (r.Hunt.cases_run > 1)
 
+(* ------------------------------------------------------------------ *)
+(* Domain lifetime: every harness destroys the domains of its cell     *)
+(* ------------------------------------------------------------------ *)
+
+module W = Hpbrcu_workload
+
+(* After each harness returns, no reclamation domain may still hold an
+   allocator watermark slot: the cell's domains die with the cell. *)
+let no_live_domains what =
+  Alcotest.(check (list string))
+    (what ^ " leaves no live domain") []
+    (List.map (fun (_, label, _, _) -> label) (Alloc.Owner.snapshot ()))
+
+let test_domains_die_with_cells () =
+  no_live_domains "startup";
+  let cell =
+    W.Spec.cell ~threads:3 ~key_range:64 ~workload:W.Spec.Read_write
+      ~limit:(W.Spec.Ops 100) ~mode:(W.Spec.Fibers 3) ~seed:3 ()
+  in
+  ignore (W.Matrix.run_cell ~ds:Hpbrcu_core.Caps.HashMap ~scheme:"HP-BRCU" cell);
+  no_live_domains "Matrix.run_cell (fibers)";
+  ignore
+    (W.Chaos.run_one ~scheme:"RCU" ~plan_id:W.Chaos.Crash_reader ~seed:1
+       W.Chaos.quick);
+  no_live_domains "Chaos.run_one";
+  ignore
+    (W.Longrun.run ~scheme:"HP-BRCU"
+       (W.Longrun.config ~key_range:256 ~duration:0.05 ~mode:(W.Spec.Fibers 2)
+          ()));
+  no_live_domains "a Longrun cell";
+  ignore
+    (W.Sampler.run
+       {
+         W.Sampler.default_params with
+         duration = 0.1;
+         stall_after = 0.02;
+         heal_after = 0.05;
+         key_range = 128;
+       });
+  no_live_domains "a Sampler run";
+  ignore (Runner.run (small_case "HP-BRCU" 5));
+  no_live_domains "a hunt case"
+
 let () =
   Alcotest.run "check"
     [
@@ -312,6 +355,11 @@ let () =
           Alcotest.test_case "checked-in corpus reproduces" `Quick test_corpus;
           Alcotest.test_case "shrinker is deterministic and sound" `Quick
             test_shrinker;
+        ] );
+      ( "lifetime",
+        [
+          Alcotest.test_case "domains die with their cells" `Quick
+            test_domains_die_with_cells;
         ] );
       ( "mutation-gate",
         [

@@ -203,7 +203,6 @@ let test_flight_file_roundtrip () =
 (* ------------------------------------------------------------------ *)
 
 let traced_cell () =
-  Schemes.reset_all ();
   Alloc.reset ();
   Trace.enable ~sink:Trace.Spool ();
   let r =

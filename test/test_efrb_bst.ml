@@ -2,8 +2,9 @@
    under every implemented scheme. *)
 
 let () =
-  let mk (module S : Hpbrcu_core.Smr_intf.S) =
-    (module Hpbrcu_ds.Efrb_bst.Make (S) : Hpbrcu_ds.Ds_intf.MAP)
-  in
   Alcotest.run "efrb_bst"
-    [ ("all", Test_util.standard_cases ~make:mk Test_util.all_schemes) ]
+    [
+      ( "all",
+        Test_util.standard_cases (module Hpbrcu_ds.Efrb_bst.Make)
+          Test_util.all_schemes );
+    ]

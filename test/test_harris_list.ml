@@ -4,34 +4,20 @@
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
-module Schemes = Hpbrcu_schemes.Schemes
+module SI = Hpbrcu_core.Smr_intf
 module ISet = Set.Make (Int)
 
-let reset () =
-  Schemes.reset_all ();
-  Alloc.set_strict true
+let reset = Test_util.reset
+let schemes = Test_util.optimistic_schemes
 
-let schemes =
-  [
-    ("NR", (module Schemes.NR : Hpbrcu_core.Smr_intf.S));
-    ("RCU", (module Schemes.RCU));
-    ("HP++", (module Schemes.HPPP));
-    ("PEBR", (module Schemes.PEBR));
-    ("NBR", (module Schemes.NBR));
-    ("NBR-Large", (module Schemes.NBR_large));
-    ("VBR", (module Schemes.VBR));
-    ("HP-RCU", (module Schemes.HP_RCU));
-    ("HP-BRCU", (module Schemes.HP_BRCU));
-  ]
+module Check (X : SI.SCHEME) (L : Hpbrcu_ds.Ds_intf.MAP with type domain = X.domain) =
+struct
+  module G = SI.Scoped (X)
 
-module Ds_sig = Hpbrcu_ds.Ds_intf
-
-module type LIST_MAKE = functor (S : Hpbrcu_core.Smr_intf.S) -> Ds_sig.MAP
-
-module Check (L : Ds_sig.MAP) = struct
-  let seq () =
+  let seq ~config () =
     reset ();
-    let t = L.create () in
+    G.with_domain config @@ fun d ->
+    let t = L.create d in
     let s = L.session t in
     let model = ref ISet.empty in
     let rng = Hpbrcu_runtime.Rng.create ~seed:7 in
@@ -52,9 +38,10 @@ module Check (L : Ds_sig.MAP) = struct
     L.close_session s;
     Alcotest.(check int) "no UAF" 0 (Alloc.uaf_count ())
 
-  let stress ~seed () =
+  let stress ~config ~seed () =
     reset ();
-    let t = L.create () in
+    G.with_domain config @@ fun d ->
+    let t = L.create d in
     Sched.run
       (Sched.Fibers { seed; switch_every = 2 })
       ~nthreads:4
@@ -75,17 +62,16 @@ module Check (L : Ds_sig.MAP) = struct
     Alcotest.(check int) "no UAF" 0 (Alloc.uaf_count ())
 end
 
-let cases (flavour : string) (make_list : (module LIST_MAKE)) =
-  let module M = (val make_list) in
+let cases (flavour : string) (module M : Hpbrcu_ds.Ds_intf.MAKE) =
   List.concat_map
-    (fun (n, s) ->
-      let module S = (val s : Hpbrcu_core.Smr_intf.S) in
-      let module L = M (S) in
-      let module C = Check (L) in
+    (fun (n, ((module X : SI.SCHEME), config)) ->
+      let module C = Check (X) (M (X)) in
       [
-        Alcotest.test_case (flavour ^ "/seq/" ^ n) `Quick C.seq;
-        Alcotest.test_case (flavour ^ "/stress1/" ^ n) `Quick (C.stress ~seed:11);
-        Alcotest.test_case (flavour ^ "/stress2/" ^ n) `Quick (C.stress ~seed:12);
+        Alcotest.test_case (flavour ^ "/seq/" ^ n) `Quick (C.seq ~config);
+        Alcotest.test_case (flavour ^ "/stress1/" ^ n) `Quick
+          (C.stress ~config ~seed:11);
+        Alcotest.test_case (flavour ^ "/stress2/" ^ n) `Quick
+          (C.stress ~config ~seed:12);
       ])
     schemes
 

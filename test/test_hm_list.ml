@@ -3,11 +3,10 @@
 
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
-module Schemes = Hpbrcu_schemes.Schemes
+module SI = Hpbrcu_core.Smr_intf
+module Matrix = Hpbrcu_workload.Matrix
 
-let reset () =
-  Schemes.reset_all ();
-  Alloc.set_strict true
+let reset = Test_util.reset
 
 (* ------------------------------------------------------------------ *)
 (* Sequential model check against Stdlib.Set                           *)
@@ -15,12 +14,14 @@ let reset () =
 
 module ISet = Set.Make (Int)
 
-module Seq_check (S : Hpbrcu_core.Smr_intf.S) = struct
-  module L = Hpbrcu_ds.Hm_list.Make (S)
+module Seq_check (X : SI.SCHEME) = struct
+  module L = Hpbrcu_ds.Hm_list.Make (X)
+  module G = SI.Scoped (X)
 
-  let run () =
+  let run ~config () =
     reset ();
-    let t = L.create () in
+    G.with_domain config @@ fun d ->
+    let t = L.create d in
     let s = L.session t in
     let model = ref ISet.empty in
     let rng = Hpbrcu_runtime.Rng.create ~seed:42 in
@@ -45,21 +46,23 @@ module Seq_check (S : Hpbrcu_core.Smr_intf.S) = struct
     Alcotest.(check int) "no UAF" 0 (Alloc.uaf_count ())
 end
 
-let seq_case (name : string) (module S : Hpbrcu_core.Smr_intf.S) =
+let seq_case (name : string) ((module X : SI.SCHEME), config) =
   Alcotest.test_case ("seq/" ^ name) `Quick (fun () ->
-      let module C = Seq_check (S) in
-      C.run ())
+      let module C = Seq_check (X) in
+      C.run ~config ())
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent stress in deterministic fiber mode                       *)
 (* ------------------------------------------------------------------ *)
 
-module Stress (S : Hpbrcu_core.Smr_intf.S) = struct
-  module L = Hpbrcu_ds.Hm_list.Make (S)
+module Stress (X : SI.SCHEME) = struct
+  module L = Hpbrcu_ds.Hm_list.Make (X)
+  module G = SI.Scoped (X)
 
-  let run ~seed ~nthreads ~ops () =
+  let run ~config ~seed ~nthreads ~ops () =
     reset ();
-    let t = L.create () in
+    G.with_domain config @@ fun d ->
+    let t = L.create d in
     Sched.run
       (Sched.Fibers { seed; switch_every = 2 })
       ~nthreads
@@ -81,29 +84,17 @@ module Stress (S : Hpbrcu_core.Smr_intf.S) = struct
     Alcotest.(check int) "no UAF" 0 (Alloc.uaf_count ())
 end
 
-let stress_case name (module S : Hpbrcu_core.Smr_intf.S) seed =
+let stress_case name ((module X : SI.SCHEME), config) seed =
   Alcotest.test_case
     (Printf.sprintf "stress/%s/seed%d" name seed)
     `Quick
     (fun () ->
-      let module T = Stress (S) in
-      T.run ~seed ~nthreads:4 ~ops:300 ())
+      let module T = Stress (X) in
+      T.run ~config ~seed ~nthreads:4 ~ops:300 ())
 
 let () =
   let seq_schemes =
-    [
-      ("NR", (module Schemes.NR : Hpbrcu_core.Smr_intf.S));
-      ("RCU", (module Schemes.RCU));
-      ("HP", (module Schemes.HP));
-      ("HP++", (module Schemes.HPPP));
-      ("PEBR", (module Schemes.PEBR));
-      ("NBR", (module Schemes.NBR));
-      ("VBR", (module Schemes.VBR));
-      ("HP-RCU", (module Schemes.HP_RCU));
-      ("HP-BRCU", (module Schemes.HP_BRCU));
-      ("HE", (module Schemes.HE));
-      ("IBR", (module Schemes.IBR));
-    ]
+    List.filter (fun (n, _) -> n <> "NBR-Large") Matrix.schemes
   in
   (* NBR is excluded from HMList in the paper (helping during read phase);
      we still run it sequentially (no concurrent neutralization can strike)

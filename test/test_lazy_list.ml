@@ -3,21 +3,11 @@
    are excluded exactly as the paper excludes them (optimistic lookup). *)
 
 let schemes =
-  let module S = Hpbrcu_schemes.Schemes in
-  [
-    ("NR", (module S.NR : Hpbrcu_core.Smr_intf.S));
-    ("RCU", (module S.RCU));
-    ("HP++", (module S.HPPP));
-    ("PEBR", (module S.PEBR));
-    ("NBR", (module S.NBR));
-    ("VBR", (module S.VBR));
-    ("HP-RCU", (module S.HP_RCU));
-    ("HP-BRCU", (module S.HP_BRCU));
-  ]
+  List.filter (fun (n, _) -> n <> "NBR-Large") Test_util.optimistic_schemes
 
 let () =
-  let mk (module S : Hpbrcu_core.Smr_intf.S) =
-    (module Hpbrcu_ds.Lazy_list.Make (S) : Hpbrcu_ds.Ds_intf.MAP)
-  in
   Alcotest.run "lazy_list"
-    [ ("all", Test_util.standard_cases ~make:mk schemes) ]
+    [
+      ( "all",
+        Test_util.standard_cases (module Hpbrcu_ds.Lazy_list.Make) schemes );
+    ]

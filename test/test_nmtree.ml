@@ -2,8 +2,9 @@
    Table 1). *)
 
 let () =
-  let mk (module S : Hpbrcu_core.Smr_intf.S) =
-    (module Hpbrcu_ds.Nmtree.Make (S) : Hpbrcu_ds.Ds_intf.MAP)
-  in
   Alcotest.run "nmtree"
-    [ ("all", Test_util.standard_cases ~make:mk Test_util.optimistic_schemes) ]
+    [
+      ( "all",
+        Test_util.standard_cases (module Hpbrcu_ds.Nmtree.Make)
+          Test_util.optimistic_schemes );
+    ]

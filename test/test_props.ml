@@ -6,12 +6,11 @@ module Q = QCheck
 module Alloc = Hpbrcu_alloc.Alloc
 module Link = Hpbrcu_core.Link
 module Rng = Hpbrcu_runtime.Rng
-module Schemes = Hpbrcu_schemes.Schemes
+module SI = Hpbrcu_core.Smr_intf
+module Matrix = Hpbrcu_workload.Matrix
 module ISet = Set.Make (Int)
 
-let reset () =
-  Schemes.reset_all ();
-  Alloc.set_strict true
+let reset = Test_util.reset
 
 (* ---------------- op sequences vs model ---------------- *)
 
@@ -36,10 +35,15 @@ let ops_arb range = Q.make ~print:(fun ops ->
          ops))
     Q.Gen.(list_size (int_range 0 400) (op_gen range))
 
-(* One sequential run must agree with Stdlib.Set on every result. *)
-let model_agrees (module L : Hpbrcu_ds.Ds_intf.MAP) ops =
+(* One sequential run, on a fresh domain of [scheme], must agree with
+   Stdlib.Set on every result. *)
+let model_agrees (module M : Hpbrcu_ds.Ds_intf.MAKE) scheme ops =
+  let (module X : SI.SCHEME), config = Matrix.find_scheme scheme in
+  let module L = M (X) in
+  let module G = SI.Scoped (X) in
   reset ();
-  let t = L.create () in
+  G.with_domain config @@ fun d ->
+  let t = L.create d in
   let s = L.session t in
   let model = ref ISet.empty in
   let ok = ref true in
@@ -62,22 +66,22 @@ let model_agrees (module L : Hpbrcu_ds.Ds_intf.MAP) ops =
 
 let ds_props =
   let range = 32 in
-  let mk name (module L : Hpbrcu_ds.Ds_intf.MAP) =
-    Q.Test.make ~count:60 ~name (ops_arb range) (model_agrees (module L))
+  let mk name make scheme =
+    Q.Test.make ~count:60 ~name (ops_arb range) (model_agrees make scheme)
   in
   [
-    mk "HMList(HP)+model" (module Hpbrcu_ds.Hm_list.Make (Schemes.HP));
-    mk "HMList(HP-BRCU)+model" (module Hpbrcu_ds.Hm_list.Make (Schemes.HP_BRCU));
-    mk "HList(RCU)+model" (module Hpbrcu_ds.Harris_list.Make (Schemes.RCU));
-    mk "HList(VBR)+model" (module Hpbrcu_ds.Harris_list.Make (Schemes.VBR));
-    mk "HHSList(HP-BRCU)+model" (module Hpbrcu_ds.Harris_list.Make_hhs (Schemes.HP_BRCU));
-    mk "HHSList(NBR)+model" (module Hpbrcu_ds.Harris_list.Make_hhs (Schemes.NBR));
-    mk "HashMap(HP-BRCU)+model" (module Hpbrcu_ds.Hashmap.Make (Schemes.HP_BRCU));
-    mk "SkipList(RCU)+model" (module Hpbrcu_ds.Skiplist.Make (Schemes.RCU));
-    mk "SkipList(HP-BRCU)+model" (module Hpbrcu_ds.Skiplist.Make (Schemes.HP_BRCU));
-    mk "NMTree(HP-BRCU)+model" (module Hpbrcu_ds.Nmtree.Make (Schemes.HP_BRCU));
-    mk "NMTree(PEBR)+model" (module Hpbrcu_ds.Nmtree.Make (Schemes.PEBR));
-    mk "NMTree(VBR)+model" (module Hpbrcu_ds.Nmtree.Make (Schemes.VBR));
+    mk "HMList(HP)+model" (module Hpbrcu_ds.Hm_list.Make) "HP";
+    mk "HMList(HP-BRCU)+model" (module Hpbrcu_ds.Hm_list.Make) "HP-BRCU";
+    mk "HList(RCU)+model" (module Hpbrcu_ds.Harris_list.Make) "RCU";
+    mk "HList(VBR)+model" (module Hpbrcu_ds.Harris_list.Make) "VBR";
+    mk "HHSList(HP-BRCU)+model" (module Hpbrcu_ds.Harris_list.Make_hhs) "HP-BRCU";
+    mk "HHSList(NBR)+model" (module Hpbrcu_ds.Harris_list.Make_hhs) "NBR";
+    mk "HashMap(HP-BRCU)+model" (module Hpbrcu_ds.Hashmap.Make) "HP-BRCU";
+    mk "SkipList(RCU)+model" (module Hpbrcu_ds.Skiplist.Make) "RCU";
+    mk "SkipList(HP-BRCU)+model" (module Hpbrcu_ds.Skiplist.Make) "HP-BRCU";
+    mk "NMTree(HP-BRCU)+model" (module Hpbrcu_ds.Nmtree.Make) "HP-BRCU";
+    mk "NMTree(PEBR)+model" (module Hpbrcu_ds.Nmtree.Make) "PEBR";
+    mk "NMTree(VBR)+model" (module Hpbrcu_ds.Nmtree.Make) "VBR";
   ]
 
 (* Concurrent determinism: the same fiber seed must produce the same final
@@ -88,8 +92,11 @@ let concurrent_deterministic =
     (fun seed ->
       let final () =
         reset ();
-        let module L = Hpbrcu_ds.Harris_list.Make_hhs (Schemes.HP_BRCU) in
-        let t = L.create () in
+        let module X = Hpbrcu_schemes.Hp_brcu.Impl in
+        let module L = Hpbrcu_ds.Harris_list.Make_hhs (X) in
+        let module G = SI.Scoped (X) in
+        G.with_domain Hpbrcu_core.Config.default @@ fun d ->
+        let t = L.create d in
         Hpbrcu_runtime.Sched.run
           (Hpbrcu_runtime.Sched.Fibers { seed; switch_every = 2 })
           ~nthreads:3

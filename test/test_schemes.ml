@@ -7,43 +7,49 @@ module Block = Hpbrcu_alloc.Block
 module Sched = Hpbrcu_runtime.Sched
 module Schemes = Hpbrcu_schemes.Schemes
 module Link = Hpbrcu_core.Link
+module SI = Hpbrcu_core.Smr_intf
+module Dom = SI.Dom
+module Config = Hpbrcu_core.Config
+module Stats = Hpbrcu_runtime.Stats
 
-let reset () =
-  Schemes.reset_all ();
-  Alloc.set_strict true
+let reset = Test_util.reset
 
 (* Retire enough blocks through a scheme (with no readers) and check they
    all get reclaimed after flush + a second flush round. *)
-module Drain (S : Hpbrcu_core.Smr_intf.S) = struct
-  let run () =
+module Drain (X : SI.SCHEME) = struct
+  module G = SI.Scoped (X)
+
+  let run ~config () =
     reset ();
-    let h = S.register () in
+    G.with_domain config @@ fun d ->
+    let h = X.register d in
     let n = 1000 in
     for _ = 1 to n do
-      S.retire h (Alloc.block ())
+      X.retire h (Alloc.block ())
     done;
-    S.flush h;
-    S.flush h;
-    S.flush h;
-    S.unregister h;
+    X.flush h;
+    X.flush h;
+    X.flush h;
+    X.unregister h;
     let st = Alloc.stats () in
     Alcotest.(check int) "retired" n st.Alloc.retired;
-    if S.name <> "NR" then
+    if X.scheme <> "NR" then
       Alcotest.(check int) "all reclaimed" n st.Alloc.reclaimed
     else Alcotest.(check int) "NR reclaims nothing" 0 st.Alloc.reclaimed
 end
 
-let drain_case (name, s) =
+let drain_case (name, ((module X : SI.SCHEME), config)) =
   Alcotest.test_case ("drain/" ^ name) `Quick (fun () ->
-      let module S = (val s : Hpbrcu_core.Smr_intf.S) in
-      let module D = Drain (S) in
-      D.run ())
+      let module D = Drain (X) in
+      D.run ~config ())
 
 (* HP: a protected block survives scans; clearing the shield releases it. *)
 let test_hp_protection_defers () =
   reset ();
-  let module S = Schemes.HP in
-  let h = S.register () in
+  let module S = Hpbrcu_schemes.Hp.Impl in
+  let module G = SI.Scoped (S) in
+  G.with_domain Config.default @@ fun d ->
+  let h = S.register d in
   let sh = S.new_shield h in
   let b = Alloc.block () in
   S.protect sh (Some b);
@@ -58,11 +64,12 @@ let test_hp_protection_defers () =
 (* EBR: a pinned reader blocks reclamation; unpinning unblocks it. *)
 let test_ebr_pin_blocks () =
   reset ();
-  let module S = Schemes.RCU in
+  let module S = Hpbrcu_schemes.Ebr.Impl in
+  let d = S.create Config.default in
   Sched.run (Sched.Fibers { seed = 1; switch_every = 1 }) ~nthreads:2 (fun tid ->
       if tid = 0 then begin
         (* Reader pins across many scheduler quanta. *)
-        let h = S.register () in
+        let h = S.register d in
         S.crit h (fun () ->
             for _ = 1 to 400 do
               Sched.yield ()
@@ -76,7 +83,7 @@ let test_ebr_pin_blocks () =
         S.unregister h
       end
       else begin
-        let h = S.register () in
+        let h = S.register d in
         for _ = 1 to 600 do
           S.retire h (Alloc.block ());
           Sched.yield ()
@@ -84,22 +91,25 @@ let test_ebr_pin_blocks () =
         S.flush h;
         S.unregister h
       end);
-  (* After everyone is gone a reset drains the leftovers. *)
-  Schemes.reset_all ();
+  (* After everyone is gone, destroying the domain drains the leftovers. *)
+  S.destroy d;
   let st = Alloc.stats () in
   Alcotest.(check int) "eventually all reclaimed" st.Alloc.retired st.Alloc.reclaimed
 
 (* Two-step retirement (HP-RCU/HP-BRCU): a block protected by a shield
    inside a critical section survives even after the critical section ends
    and epochs advance (Figure 4's timeline). *)
-module Two_step (S : Hpbrcu_core.Smr_intf.S) = struct
+module Two_step (S : SI.SCHEME) = struct
+  module G = SI.Scoped (S)
+
   let shared : Block.t option ref = ref None
 
-  let run () =
+  let run ~config () =
     reset ();
+    G.with_domain config @@ fun d ->
     Sched.run (Sched.Fibers { seed = 2; switch_every = 1 }) ~nthreads:2 (fun tid ->
         if tid = 0 then begin
-          let h = S.register () in
+          let h = S.register d in
           let sh = S.new_shield h in
           let b = Alloc.block () in
           (* Publish b so the writer can retire it. *)
@@ -110,14 +120,14 @@ module Two_step (S : Hpbrcu_core.Smr_intf.S) = struct
             Sched.yield ()
           done;
           Alcotest.(check bool)
-            (S.name ^ ": shielded block not reclaimed")
+            (S.scheme ^ ": shielded block not reclaimed")
             false (Block.is_reclaimed b);
           S.clear sh;
           S.flush h;
           S.unregister h
         end
         else begin
-          let h = S.register () in
+          let h = S.register d in
           (* Wait for the block, retire it, then churn to force epochs. *)
           while !shared = None do
             Sched.yield ()
@@ -129,21 +139,14 @@ module Two_step (S : Hpbrcu_core.Smr_intf.S) = struct
           done;
           S.flush h;
           S.unregister h
-        end);
-    Schemes.reset_all ()
+        end)
 end
 
-let two_step_case (name, s) =
+let two_step_case (name, ((module X : SI.SCHEME), config)) =
   Alcotest.test_case ("two-step/" ^ name) `Quick (fun () ->
-      let module S = (val s : Hpbrcu_core.Smr_intf.S) in
-      let module T = Two_step (S) in
+      let module T = Two_step (X) in
       T.shared := None;
-      T.run ())
-
-module SI = Hpbrcu_core.Smr_intf
-module Dom = SI.Dom
-module Config = Hpbrcu_core.Config
-module Stats = Hpbrcu_runtime.Stats
+      T.run ~config ())
 
 (* Two domains of the same scheme are fully independent: distinct
    identities, private handle censuses, private watermarks, private
@@ -268,8 +271,10 @@ let test_scoped_guards () =
 (* VBR reclaims immediately: the unreclaimed count never exceeds ~0. *)
 let test_vbr_immediate () =
   reset ();
-  let module S = Schemes.VBR in
-  let h = S.register () in
+  let module S = Hpbrcu_schemes.Vbr.Impl in
+  let module G = SI.Scoped (S) in
+  G.with_domain Config.default @@ fun d ->
+  let h = S.register d in
   for _ = 1 to 500 do
     S.retire h (Alloc.block ~recyclable:true ())
   done;
@@ -281,32 +286,19 @@ let test_vbr_immediate () =
 (* VBR era advances with retirement volume. *)
 let test_vbr_era_advances () =
   reset ();
-  let module S = Schemes.VBR in
-  let h = S.register () in
-  let e0 = S.current_era () in
+  let module S = Hpbrcu_schemes.Vbr.Impl in
+  let module G = SI.Scoped (S) in
+  G.with_domain Config.default @@ fun d ->
+  let h = S.register d in
+  let e0 = S.current_era d in
   for _ = 1 to 1000 do
     S.retire h (Alloc.block ~recyclable:true ())
   done;
-  Alcotest.(check bool) "era advanced" true (S.current_era () > e0);
+  Alcotest.(check bool) "era advanced" true (S.current_era d > e0);
   S.unregister h
 
 let () =
-  let all =
-    [
-      ("NR", (module Schemes.NR : Hpbrcu_core.Smr_intf.S));
-      ("RCU", (module Schemes.RCU));
-      ("HP", (module Schemes.HP));
-      ("HP++", (module Schemes.HPPP));
-      ("PEBR", (module Schemes.PEBR));
-      ("NBR", (module Schemes.NBR));
-      ("NBR-Large", (module Schemes.NBR_large));
-      ("VBR", (module Schemes.VBR));
-      ("HP-RCU", (module Schemes.HP_RCU));
-      ("HP-BRCU", (module Schemes.HP_BRCU));
-      ("HE", (module Schemes.HE));
-      ("IBR", (module Schemes.IBR));
-    ]
-  in
+  let all = Hpbrcu_workload.Matrix.schemes in
   let two_step_schemes =
     List.filter (fun (n, _) -> List.mem n [ "HP"; "HP++"; "HP-RCU"; "HP-BRCU" ]) all
   in

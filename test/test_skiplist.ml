@@ -2,8 +2,9 @@
    wait-freedom, per Table 1's ▲). *)
 
 let () =
-  let mk (module S : Hpbrcu_core.Smr_intf.S) =
-    (module Hpbrcu_ds.Skiplist.Make (S) : Hpbrcu_ds.Ds_intf.MAP)
-  in
   Alcotest.run "skiplist"
-    [ ("all", Test_util.standard_cases ~make:mk Test_util.all_schemes) ]
+    [
+      ( "all",
+        Test_util.standard_cases (module Hpbrcu_ds.Skiplist.Make)
+          Test_util.all_schemes );
+    ]

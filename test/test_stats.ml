@@ -313,9 +313,8 @@ let test_participants_exhaustion () =
 (* ------------------------------------------------------------------ *)
 
 let run_traced ?(sink = Trace.Ring) () =
-  (* Drain leftovers (deferred tasks, allocator counters) from whatever ran
-     before, so both traced runs start from the same world state. *)
-  Hpbrcu_schemes.Schemes.reset_all ();
+  (* Reset the allocator counters, so both traced runs start from the
+     same world state ([run_cell] owns and drains its domain). *)
   Hpbrcu_alloc.Alloc.reset ();
   Trace.enable ~capacity:(1 lsl 16) ~sink ();
   let cell =

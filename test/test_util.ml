@@ -5,44 +5,37 @@
 module Alloc = Hpbrcu_alloc.Alloc
 module Sched = Hpbrcu_runtime.Sched
 module Rng = Hpbrcu_runtime.Rng
-module Schemes = Hpbrcu_schemes.Schemes
+module SI = Hpbrcu_core.Smr_intf
+module Matrix = Hpbrcu_workload.Matrix
 module ISet = Set.Make (Int)
 
 let reset () =
-  Schemes.reset_all ();
+  Alloc.reset ();
   Alloc.set_strict true
 
-(* The scheme roster, keyed by name.  [optimistic_only] excludes HP (for
-   data structures HP cannot run, per Table 1). *)
-let all_schemes : (string * (module Hpbrcu_core.Smr_intf.S)) list =
-  [
-    ("NR", (module Schemes.NR));
-    ("RCU", (module Schemes.RCU));
-    ("HP", (module Schemes.HP));
-    ("HP++", (module Schemes.HPPP));
-    ("PEBR", (module Schemes.PEBR));
-    ("NBR", (module Schemes.NBR));
-    ("NBR-Large", (module Schemes.NBR_large));
-    ("VBR", (module Schemes.VBR));
-    ("HP-RCU", (module Schemes.HP_RCU));
-    ("HP-BRCU", (module Schemes.HP_BRCU));
-    ("HE", (module Schemes.HE));
-    ("IBR", (module Schemes.IBR));
-  ]
+(* The scheme roster, keyed by name: the matrix's table.
+   [optimistic_schemes] excludes HP (for data structures HP cannot run,
+   per Table 1). *)
+let all_schemes = Matrix.schemes
 
 let optimistic_schemes =
   List.filter (fun (n, _) -> not (List.mem n [ "HP"; "HE"; "IBR" ])) all_schemes
 
 (* Per the paper's applicability matrix, some (ds, scheme) pairs are
    excluded from concurrent runs. *)
-let supports ds_id (module S : Hpbrcu_core.Smr_intf.S) =
-  S.caps.Hpbrcu_core.Caps.supports ds_id <> Hpbrcu_core.Caps.No
+let supports ds_id s = Matrix.supports s ds_id
 
-module Check (L : Hpbrcu_ds.Ds_intf.MAP) = struct
+(* Each check runs on a domain of its own, created under the scheme's
+   config and force-destroyed afterwards. *)
+module Check (X : SI.SCHEME) (L : Hpbrcu_ds.Ds_intf.MAP with type domain = X.domain) =
+struct
+  module G = SI.Scoped (X)
+
   (* Random ops checked against a sequential model. *)
-  let seq ?(ops = 2000) ?(range = 64) ~seed () =
+  let seq ?(ops = 2000) ?(range = 64) ~config ~seed () =
     reset ();
-    let t = L.create () in
+    G.with_domain config @@ fun d ->
+    let t = L.create d in
     let s = L.session t in
     let model = ref ISet.empty in
     let rng = Rng.create ~seed in
@@ -76,9 +69,11 @@ module Check (L : Hpbrcu_ds.Ds_intf.MAP) = struct
   (* Deterministic concurrent stress (fiber mode).  Threads 0..w-1 write,
      the rest read; afterwards keys written by exactly one writer must
      have consistent membership and no UAF may have occurred. *)
-  let stress ?(nthreads = 4) ?(ops = 250) ?(range = 32) ?(stalls = false) ~seed () =
+  let stress ?(nthreads = 4) ?(ops = 250) ?(range = 32) ?(stalls = false)
+      ~config ~seed () =
     reset ();
-    let t = L.create () in
+    G.with_domain config @@ fun d ->
+    let t = L.create d in
     Sched.run
       (Sched.Fibers { seed; switch_every = 2 })
       ~nthreads
@@ -102,18 +97,17 @@ end
 
 (* Build the standard case list for one data structure over a scheme
    roster. *)
-let standard_cases
-    ~(make : (module Hpbrcu_core.Smr_intf.S) -> (module Hpbrcu_ds.Ds_intf.MAP))
-    schemes =
+let standard_cases (module Make : Hpbrcu_ds.Ds_intf.MAKE) schemes =
   List.concat_map
-    (fun (n, s) ->
-      let module L = (val make s) in
-      let module C = Check (L) in
+    (fun (n, ((module X : SI.SCHEME), config)) ->
+      let module C = Check (X) (Make (X)) in
       [
-        Alcotest.test_case ("seq/" ^ n) `Quick (fun () -> C.seq ~seed:3 ());
-        Alcotest.test_case ("stress1/" ^ n) `Quick (fun () -> C.stress ~seed:21 ());
-        Alcotest.test_case ("stress2/" ^ n) `Quick (fun () -> C.stress ~seed:22 ());
+        Alcotest.test_case ("seq/" ^ n) `Quick (fun () -> C.seq ~config ~seed:3 ());
+        Alcotest.test_case ("stress1/" ^ n) `Quick (fun () ->
+            C.stress ~config ~seed:21 ());
+        Alcotest.test_case ("stress2/" ^ n) `Quick (fun () ->
+            C.stress ~config ~seed:22 ());
         Alcotest.test_case ("stress-stall/" ^ n) `Quick (fun () ->
-            C.stress ~seed:23 ~stalls:true ());
+            C.stress ~config ~seed:23 ~stalls:true ());
       ])
     schemes
