@@ -354,18 +354,15 @@ end
     create/destroy and register/unregister exception-safely on the cold
     path. *)
 module Scoped (X : SCHEME) = struct
-  (** [with_domain ?label config f] — a domain that lives exactly as long
-      as [f]: created for it, then force-destroyed (chaos cells leave
-      crashed readers registered) with the tracer muted, so teardown
-      reclaims never land in a log the caller dumps afterwards.  This is
-      how a harness owns its cell's domain.  The label defaults to the
+  (** [with_domain config f] — a domain that lives exactly as long as
+      [f]: created for it, then force-destroyed (chaos cells leave crashed
+      readers registered) with the tracer muted, so teardown reclaims
+      never land in a log the caller dumps afterwards.  This is how a
+      harness owns its cell's domain.  The domain is labelled with the
       scheme's display name, so repeated cells report identical
       snapshots. *)
-  let with_domain ?label config f =
-    let label =
-      match label with Some l -> l | None -> (X.caps config).Caps.name
-    in
-    let d = X.create ~label config in
+  let with_domain config f =
+    let d = X.create ~label:(X.caps config).Caps.name config in
     Fun.protect
       ~finally:(fun () ->
         Hpbrcu_runtime.Trace.muted (fun () -> X.destroy ~force:true d))

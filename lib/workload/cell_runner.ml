@@ -111,26 +111,40 @@ struct
     (match c.limit with
     | Spec.Duration d -> Sched.set_deadline (t_spawn +. d +. (d /. 2.))
     | Spec.Ops _ -> ());
-    (* Domain workers register, then meet at a start barrier: the last to
-       arrive stamps [t0], and each worker stamps its own finish, so the
-       cell's elapsed time excludes Domain.spawn and join.  Fiber cells
-       keep the spawn-to-join clock, so their schedules stay as they
-       were. *)
+    (* Domain workers register, then meet at a start barrier: the worker
+       that opens it stamps [t0], and each worker stamps its own finish,
+       so the cell's elapsed time excludes Domain.spawn and join.  Fiber
+       cells keep the spawn-to-join clock, so their schedules stay as
+       they were.  A worker whose registration raised counts as arrived,
+       and so does one that crashed inside it (it stays parked until the
+       survivors finish), so a failed worker fails the cell at join and
+       never hangs it. *)
     let domains = c.mode = Spec.Domains in
-    let t0 = Atomic.make t_spawn and released = Atomic.make false in
+    let t0 = Atomic.make t_spawn in
     let arrived = Atomic.make 0 and finished = Array.make c.threads t_spawn in
+    let opened = Atomic.make false and released = Atomic.make false in
     let start_barrier () =
-      if Atomic.fetch_and_add arrived 1 = c.threads - 1 then begin
-        Atomic.set t0 (Clock.now ());
-        Atomic.set released true
-      end
-      else
-        while not (Atomic.get released) do
-          Domain.cpu_relax ()
-        done
+      Atomic.incr arrived;
+      while not (Atomic.get released) do
+        if
+          Atomic.get arrived + Sched.crashed_count () >= c.threads
+          && Atomic.compare_and_set opened false true
+        then begin
+          Atomic.set t0 (Clock.now ());
+          Atomic.set released true
+        end
+        else Domain.cpu_relax ()
+      done
     in
     let worker tid =
-      let s = L.session t in
+      let s =
+        match L.session t with
+        | s -> s
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Atomic.incr arrived;
+            Printexc.raise_with_backtrace e bt
+      in
       if domains then start_barrier ();
       let t0 = Atomic.get t0 in
       let rng = Rng.create ~seed:(c.seed + (tid * 7919) + 13) in

@@ -248,6 +248,56 @@ let test_chaos_domains_crash_cell () =
   | Some b ->
       Alcotest.(check bool) "bound never overshot" true (c.W.Chaos.peak <= b))
 
+(* A Domains-mode cell whose worker 1 fails inside [session] — by
+   raising, or by crashing at a yield point there — must end: the start
+   barrier counts the failed worker as arrived.  Worker 1 fails only in
+   the cell's workers; the prefill session runs on the main domain. *)
+module Hp_brcu = Hpbrcu_schemes.Hp_brcu.Impl
+module Fault = Hpbrcu_runtime.Fault
+
+(* What worker 1 does on entering [session]. *)
+let session_fault = Atomic.make ignore
+
+module Failing_session = struct
+  include Hpbrcu_ds.Hm_list.Make (Hp_brcu)
+
+  let session t =
+    if Sched.self () = 1 then (Atomic.get session_fault) ();
+    session t
+end
+
+module Failing_runner = W.Cell_runner.Make (Hp_brcu) (Failing_session)
+
+let failing_cell fault =
+  Atomic.set session_fault fault;
+  Fun.protect
+    ~finally:(fun () -> Atomic.set session_fault ignore)
+    (fun () ->
+      Failing_runner.run ~config:Config.default
+        (W.Spec.cell ~threads:2 ~key_range:64 ~limit:(W.Spec.Ops 200)
+           ~mode:W.Spec.Domains ()))
+
+exception Refused
+
+let test_barrier_session_raises () =
+  Alcotest.check_raises "worker failure re-raised at join" Refused (fun () ->
+      ignore (failing_cell (fun () -> raise Refused)))
+
+let test_barrier_session_crashes () =
+  Fault.install
+    {
+      Fault.label = "crash-in-session";
+      rules =
+        [ { Fault.site = Fault.Yield; tid = 1; start = 0; period = 0; action = Fault.Crash } ];
+    };
+  let r =
+    Fun.protect ~finally:Fault.clear (fun () ->
+        failing_cell Sched.yield)
+  in
+  Alcotest.(check int) "worker 1 crashed" 1 (Sched.crashed_count ());
+  Alcotest.(check int) "survivor ran its ops" 200 r.W.Spec.total_ops;
+  Alcotest.(check int) "uaf" 0 r.W.Spec.uaf
+
 (* The fiber-only rejection contract: one consistent message naming the
    flag, the mode, and the alternative — pinned byte for byte so every
    CLI rejection stays in the same format. *)
@@ -291,6 +341,10 @@ let () =
         [
           Alcotest.test_case "crashed-reader cell" `Quick
             test_chaos_domains_crash_cell;
+          Alcotest.test_case "session raises: cell fails" `Quick
+            test_barrier_session_raises;
+          Alcotest.test_case "session crashes: cell ends" `Quick
+            test_barrier_session_crashes;
           Alcotest.test_case "fiber-only rejection format" `Quick
             test_fiber_only_msg;
         ] );
