@@ -288,12 +288,17 @@ let test_barrier_session_crashes () =
     {
       Fault.label = "crash-in-session";
       rules =
-        [ { Fault.site = Fault.Yield; tid = 1; start = 0; period = 0; action = Fault.Crash } ];
+        [
+          {
+            Fault.site = Fault.Yield;
+            tid = 1;
+            start = 0;
+            period = 0;
+            action = Fault.Crash;
+          };
+        ];
     };
-  let r =
-    Fun.protect ~finally:Fault.clear (fun () ->
-        failing_cell Sched.yield)
-  in
+  let r = Fun.protect ~finally:Fault.clear (fun () -> failing_cell Sched.yield) in
   Alcotest.(check int) "worker 1 crashed" 1 (Sched.crashed_count ());
   Alcotest.(check int) "survivor ran its ops" 200 r.W.Spec.total_ops;
   Alcotest.(check int) "uaf" 0 r.W.Spec.uaf
