@@ -1,230 +1,42 @@
 (* The benchmark suite: regenerates every table and figure of the paper.
 
-   Part 1 — bechamel microbenchmarks: one Test.make per scheme per
-   table/figure family, measuring the single-threaded operation kernels
-   whose costs the paper's plots are built from (per-node protection
-   overhead for Table 2; the read kernels of Figures 5/14/21; the update
-   kernels of Figures 7-13; the long-read kernel of Figures 1/6/22).
-
-   Part 2 — the figure harness (quick profile): Tables 1-2 and Figures 1,
+   Part 1 — the figure harness (quick profile): Tables 1-2 and Figures 1,
    5, 6, 7 end to end, with CSVs under results/.
 
-   Part 3 — ablations of the design parameters called out in DESIGN.md §5:
+   Part 2 — ablations of the design parameters called out in DESIGN.md §5:
    max_steps (HP-RCU), backup_period and force_threshold (HP-BRCU), the
    retirement batch (NBR vs NBR-Large axis), double buffering on/off, and
    robustness against injected stalls (Table 2's first row).
 
-   Run:  dune exec bench/main.exe            (everything, ~10-15 min)
-         dune exec bench/main.exe -- micro   (just part 1), figures, ablations *)
+   The per-operation kernels (Table 2's crit/protect/retire costs and the
+   structure kernels of Figures 1, 5 and 7) are rows of the kernel table:
+   [smrbench bench-reclaim].
 
-open Bechamel
-open Toolkit
+   Run:  dune exec bench/main.exe            (everything)
+         dune exec bench/main.exe -- figures   (just part 1), ablations *)
+
 module W = Hpbrcu_workload
-module Alloc = Hpbrcu_alloc.Alloc
-module Rng = Hpbrcu_runtime.Rng
 module Sched = Hpbrcu_runtime.Sched
 module Config = Hpbrcu_core.Config
 module Stats = Hpbrcu_runtime.Stats
 module Schemes = Hpbrcu_schemes.Schemes
-module Ds = Hpbrcu_ds
 
 (* ------------------------------------------------------------------ *)
-(* Part 1: bechamel microbenchmarks                                    *)
+(* Part 2: ablations                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Build per-scheme closures for each operation kernel.  Fixtures are
-   created eagerly (prefilled structures + a session on this thread), all
-   on one domain per scheme that lives as long as the process. *)
-
-module Kernels (X : Hpbrcu_core.Smr_intf.SCHEME) = struct
-  module L = Ds.Harris_list.Make_hhs (X)
-  module LM = Ds.Hm_list.Make (X)
-  module H = Ds.Hashmap.Make_gen (Ds.Harris_list.Make_hhs) (X)
-  module SL = Ds.Skiplist.Make (X)
-  module T = Ds.Nmtree.Make (X)
-
-  let dom = X.create ~label:"micro" Config.default
-  let hp_like = X.scheme = "HP"
-
-  let prefill_list insert range =
-    let rng = Rng.create ~seed:77 in
-    let n = ref 0 in
-    while !n < range / 2 do
-      if insert (Rng.int rng range) then incr n
-    done
-
-  (* Read kernel on a 1K sorted list (Figure 5a / Table 2 per-node cost).
-     HP gets the Harris-Michael list, as in the paper. *)
-  let list_read () =
-    let range = 1024 in
-    let rng = Rng.create ~seed:3 in
-    if hp_like then begin
-      let t = LM.create dom in
-      let s = LM.session t in
-      prefill_list (fun k -> LM.insert t s k 0) range;
-      fun () -> ignore (LM.get t s (Rng.int rng range) : bool)
-    end
-    else begin
-      let t = L.create dom in
-      let s = L.session t in
-      prefill_list (fun k -> L.insert t s k 0) range;
-      fun () -> ignore (L.get t s (Rng.int rng range) : bool)
-    end
-
-  (* Long-read kernel (Figures 1/6/22): one get over a 8K list. *)
-  let long_read () =
-    let range = 8192 in
-    let rng = Rng.create ~seed:4 in
-    if hp_like then begin
-      let t = LM.create dom in
-      let s = LM.session t in
-      prefill_list (fun k -> LM.insert t s k 0) range;
-      fun () -> ignore (LM.get t s (Rng.int rng range) : bool)
-    end
-    else begin
-      let t = L.create dom in
-      let s = L.session t in
-      prefill_list (fun k -> L.insert t s k 0) range;
-      fun () -> ignore (L.get t s (Rng.int rng range) : bool)
-    end
-
-  (* Update kernel on the HashMap (Figures 5b/7b): insert+remove pair. *)
-  let hashmap_update () =
-    let range = 16384 in
-    let rng = Rng.create ~seed:5 in
-    let t = H.create_sized dom (range / 4) in
-    let s = H.session t in
-    prefill_list (fun k -> H.insert t s k 0) range;
-    fun () ->
-      let k = Rng.int rng range in
-      if Rng.bool rng then ignore (H.insert t s k 0 : bool)
-      else ignore (H.remove t s k : bool)
-
-  (* Mixed kernel on the SkipList (Figure 7d). *)
-  let skiplist_mix () =
-    let range = 4096 in
-    let rng = Rng.create ~seed:6 in
-    let t = SL.create dom in
-    let s = SL.session t in
-    prefill_list (fun k -> SL.insert t s k 0) range;
-    fun () ->
-      let k = Rng.int rng range in
-      match Rng.int rng 4 with
-      | 0 -> ignore (SL.insert t s k 0 : bool)
-      | 1 -> ignore (SL.remove t s k : bool)
-      | _ -> ignore (SL.get t s k : bool)
-
-  (* Mixed kernel on the NMTree (Figure 7c); skipped for HP (Table 1). *)
-  let nmtree_mix () =
-    let range = 4096 in
-    let rng = Rng.create ~seed:7 in
-    let t = T.create dom in
-    let s = T.session t in
-    prefill_list (fun k -> T.insert t s k 0) range;
-    fun () ->
-      let k = Rng.int rng range in
-      match Rng.int rng 4 with
-      | 0 -> ignore (T.insert t s k 0 : bool)
-      | 1 -> ignore (T.remove t s k : bool)
-      | _ -> ignore (T.get t s k : bool)
-
-  (* Primitive kernels (Table 2 rows). *)
-  let prim_crit () =
-    let h = X.register dom in
-    fun () -> X.crit h (fun () -> ())
-
-  let prim_protect () =
-    let h = X.register dom in
-    let sh = X.new_shield h in
-    let b = Alloc.block () in
-    fun () -> X.protect sh (Some b)
-
-  let prim_retire_cycle () =
-    let h = X.register dom in
-    fun () ->
-      let b = Alloc.block () in
-      X.retire h b
-end
-
-module type KERNELS = sig
-  val list_read : unit -> unit -> unit
-  val long_read : unit -> unit -> unit
-  val hashmap_update : unit -> unit -> unit
-  val skiplist_mix : unit -> unit -> unit
-  val nmtree_mix : unit -> unit -> unit
-  val prim_crit : unit -> unit -> unit
-  val prim_protect : unit -> unit -> unit
-  val prim_retire_cycle : unit -> unit -> unit
-end
-
-let micro_kernels =
-  lazy
-    (List.map
-       (fun sname ->
-         let (module X), _ = W.Matrix.find_scheme sname in
-         (sname, (module Kernels (X) : KERNELS)))
-       [ "NR"; "RCU"; "HP"; "HP++"; "PEBR"; "NBR"; "VBR"; "HP-RCU"; "HP-BRCU" ])
-
-let group name pick =
-  let tests =
-    List.filter_map
-      (fun (sname, k) ->
-        match pick k sname with
-        | Some mk -> Some (Test.make ~name:sname (Staged.stage (mk ())))
-        | None -> None)
-      (Lazy.force micro_kernels)
-  in
-  Test.make_grouped ~name tests
-
-let run_micro () =
-  Alloc.set_strict false;
-  let groups =
-    [
-      (* One grouped Test per table/figure family. *)
-      group "fig5a_list_read" (fun (module K) name ->
-          if name = "NBR" then None (* NBR cannot run the HHS read path alone fairly *)
-          else Some K.list_read);
-      group "fig1_long_read" (fun (module K) _ -> Some K.long_read);
-      group "fig7b_hashmap_update" (fun (module K) name ->
-          if name = "HP" then None else Some K.hashmap_update);
-      group "fig7d_skiplist_mix" (fun (module K) name ->
-          if name = "NBR" then None else Some K.skiplist_mix);
-      group "fig7c_nmtree_mix" (fun (module K) name ->
-          if name = "HP" then None else Some K.nmtree_mix);
-      group "table2_crit" (fun (module K) _ -> Some K.prim_crit);
-      group "table2_protect" (fun (module K) _ -> Some K.prim_protect);
-      group "table2_retire" (fun (module K) _ -> Some K.prim_retire_cycle);
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.2) ~kde:None () in
-  let instance = Instance.monotonic_clock in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun g ->
-      Fmt.pr "@.== microbench: %s (ns/op) ==@.%!" (Test.name g);
-      let raw = Benchmark.all cfg [ instance ] g in
-      let res = Analyze.all ols instance raw in
-      let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) res [] in
-      List.iter
-        (fun (name, ols) ->
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) -> Fmt.pr "  %-28s %10.1f@." name est
-          | _ -> Fmt.pr "  %-28s %10s@." name "?")
-        (List.sort compare rows))
-    groups
-
-(* ------------------------------------------------------------------ *)
-(* Part 3: ablations                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let longrun_with (module X : Hpbrcu_core.Smr_intf.SCHEME) config range =
+(* [name]'s long-running-read cell under [config], on the list
+   {!W.Matrix.bucket_list} picks for the scheme. *)
+let longrun_with name config range =
   let cfg =
     W.Longrun.config ~key_range:range ~readers:4 ~writers:4 ~duration:0.25
       ~mode:(W.Spec.Fibers 7) ~seed:42 ()
   in
-  let module R = W.Longrun.Run (X) (Ds.Harris_list.Make_hhs (X)) in
+  let ((module X : Hpbrcu_core.Smr_intf.SCHEME), _) as s =
+    W.Matrix.find_scheme name
+  in
+  let module B = (val W.Matrix.buckets s) in
+  let module R = W.Longrun.Run (X) (B (X)) in
   R.go cfg ~config
 
 let ablation_max_steps () =
@@ -233,8 +45,7 @@ let ablation_max_steps () =
   List.iter
     (fun ms ->
       let o =
-        longrun_with
-          (module Hpbrcu_schemes.Hp_rcu.Impl)
+        longrun_with "HP-RCU"
           { Schemes.small_cfg with Config.max_steps = ms }
           4096
       in
@@ -248,8 +59,7 @@ let ablation_backup_period () =
   List.iter
     (fun bp ->
       let o =
-        longrun_with
-          (module Hpbrcu_schemes.Hp_brcu.Impl)
+        longrun_with "HP-BRCU"
           { Schemes.small_cfg with Config.backup_period = bp }
           4096
       in
@@ -263,8 +73,7 @@ let ablation_force_threshold () =
   List.iter
     (fun ft ->
       let o =
-        longrun_with
-          (module Hpbrcu_schemes.Hp_brcu.Impl)
+        longrun_with "HP-BRCU"
           { Schemes.small_cfg with Config.force_threshold = ft }
           4096
       in
@@ -278,8 +87,7 @@ let ablation_nbr_batch () =
   List.iter
     (fun b ->
       let o =
-        longrun_with
-          (module Hpbrcu_schemes.Nbr.Impl)
+        longrun_with "NBR"
           { Schemes.small_cfg with Config.batch = b }
           2048
       in
@@ -306,7 +114,7 @@ let ablation_double_buffering () =
         }
       in
       Sched.set_stall_inject ~period:500 ~ticks:50000;
-      let o = longrun_with (module Hpbrcu_schemes.Hp_brcu.Impl) config 2048 in
+      let o = longrun_with "HP-BRCU" config 2048 in
       Sched.set_stall_inject ~period:0 ~ticks:0;
       Fmt.pr "  %-10s %12.4f %8d %12d@."
         (if db then "double" else "single")
@@ -321,14 +129,12 @@ let ablation_stalls () =
   Fmt.pr "@.== extension: stalled readers (stall injected mid-operation) ==@.";
   Fmt.pr "  %-10s %12s %8s@." "scheme" "reads Mop/s" "peak";
   let run name =
-    let (module X), config = W.Matrix.find_scheme ~tuning:`Small name in
-    let module R = W.Longrun.Run (X) (Ds.Harris_list.Make_hhs (X)) in
     Sched.set_stall_inject ~period:2000 ~ticks:20000;
     let cfg =
       W.Longrun.config ~key_range:2048 ~readers:4 ~writers:4 ~duration:0.25
         ~mode:(W.Spec.Fibers 13) ~seed:21 ()
     in
-    let o = R.go cfg ~config in
+    let o = W.Longrun.run ~scheme:name cfg in
     Sched.set_stall_inject ~period:0 ~ticks:0;
     Fmt.pr "  %-10s %12.4f %8d@." name o.W.Longrun.reader_tput
       o.W.Longrun.peak_unreclaimed
@@ -344,7 +150,7 @@ let run_ablations () =
   ablation_stalls ()
 
 (* ------------------------------------------------------------------ *)
-(* Part 2 driver + main                                                *)
+(* Part 1 driver + main                                                *)
 (* ------------------------------------------------------------------ *)
 
 let run_figures () =
@@ -359,11 +165,9 @@ let run_figures () =
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   (match what with
-  | "micro" -> run_micro ()
   | "figures" -> run_figures ()
   | "ablations" -> run_ablations ()
   | _ ->
-      run_micro ();
       run_figures ();
       run_ablations ());
   Fmt.pr "@.bench done.@."

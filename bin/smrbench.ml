@@ -247,12 +247,9 @@ let trace_cmd =
   in
   let run scheme ds ops threads seed range last trace_out =
     (* Always the deterministic simulator: traces are timestamped by the
-       virtual tick clock, so the same seed replays the same event log.
-       With --trace-out the sink is the non-lossy spool (analyze input);
-       otherwise a ring keeping the last 64K events for printing. *)
-    (match trace_out with
-    | Some _ -> T.enable ~sink:T.Spool ()
-    | None -> T.enable ~capacity:65536 ());
+       virtual tick clock, so the same seed replays the same event log,
+       spooled non-lossily (analyze input with --trace-out). *)
+    T.enable ~sink:T.Spool ();
     let cell =
       W.Spec.cell ~threads ~key_range:range ~workload:W.Spec.Read_write
         ~limit:(W.Spec.Ops ops) ~mode:(W.Spec.Fibers seed) ~seed ()
@@ -280,7 +277,7 @@ let trace_cmd =
                 (fun rc -> print_endline (T.record_to_string rc))
                 shown;
               Printf.printf
-                "# %d events kept (%d dropped by ring wraparound), %d ops, \
+                "# %d events kept (%d dropped past the spool bound), %d ops, \
                  seed %d\n"
                 total (T.dropped ()) r.W.Spec.total_ops seed);
           0
@@ -900,602 +897,8 @@ let sample_cmd =
       $ range_arg $ seed_arg $ out_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
-(* bench-reclaim: reclamation data-plane kernels.                      *)
+(* bench-reclaim: the kernel table.                                    *)
 (* ------------------------------------------------------------------ *)
-
-module Reclaim_bench = struct
-  module Config = Hpbrcu_core.Config
-  module Smr_intf = Hpbrcu_core.Smr_intf
-  module Alloc = Hpbrcu_alloc.Alloc
-  module Block = Hpbrcu_alloc.Block
-  module Clock = Hpbrcu_runtime.Clock
-  module Hp = Hpbrcu_schemes.Hp
-  module Hppp = Hpbrcu_schemes.Hppp
-  module He = Hpbrcu_schemes.He
-  module Ibr = Hpbrcu_schemes.Ibr
-  module Ebr = Hpbrcu_schemes.Ebr
-  module Pebr = Hpbrcu_schemes.Pebr
-  module Nbr = Hpbrcu_schemes.Nbr
-  module Hp_rcu = Hpbrcu_schemes.Hp_rcu
-  module Hp_brcu = Hpbrcu_schemes.Hp_brcu
-  module Epoch_core = Hpbrcu_schemes.Epoch_core
-  module Brcu_core = Hpbrcu_schemes.Brcu_core
-
-  type row = {
-    kernel : string;
-    scheme : string;
-    hazards : int;  (* 0 when not applicable *)
-    iters : int;  (* measured cycles *)
-    ops_per_cycle : int;
-    ns_per_op : float;
-    minor_words_per_op : float;
-    gated : bool;  (* counted by check.sh's steady-state allocation gate *)
-  }
-
-  (* Time [f] over [iters] calls and measure the minor-heap delta per call.
-     The probes themselves box a handful of floats (~8 words across the
-     whole window), so a zero-allocation kernel reads ~0.00x words/call —
-     well under the gate threshold. *)
-  (* The probes themselves allocate (Gc.minor_words and Clock.now both
-     return boxed floats), which would read as a spurious ~4 words per
-     window; calibrate that constant once and subtract it. *)
-  let probe_overhead =
-    let sample () =
-      let w0 = Gc.minor_words () in
-      let t0 = Clock.now () in
-      ignore (Sys.opaque_identity t0 : float);
-      let t1 = Clock.now () in
-      ignore (Sys.opaque_identity t1 : float);
-      let w1 = Gc.minor_words () in
-      w1 -. w0
-    in
-    ignore (sample () : float);
-    sample ()
-
-  let measure ~iters f =
-    for _ = 1 to 16 do f () done;  (* steady state: grow scratch, warm pools *)
-    let w0 = Gc.minor_words () in
-    let t0 = Clock.now () in
-    for _ = 1 to iters do f () done;
-    let t1 = Clock.now () in
-    let w1 = Gc.minor_words () in
-    ( (t1 -. t0) *. 1e9 /. float_of_int iters,
-      Float.max 0. (w1 -. w0 -. probe_overhead) /. float_of_int iters )
-
-  let ring_size = 512
-
-  (* A ring of recyclable blocks: retire -> (scheme reclaims) -> the free
-     callback reanimates the block for its next lap.  Blocks, finalizers
-     and their [Some] boxes are all preallocated, so steady-state cycles
-     can be allocation-free. *)
-  let make_ring n =
-    let blocks = Array.init n (fun _ -> Alloc.block ~recyclable:true ()) in
-    let frees =
-      Array.map (fun b -> Some (fun () -> Block.reanimate b ~era:0)) blocks
-    in
-    (blocks, frees)
-
-  (* Each kernel owns a fresh throwaway domain: create/measure/destroy,
-     no global reset anywhere near the measured window. *)
-  let retire_kernel ~iters ~gated (module X : Smr_intf.SCHEME) =
-    Alloc.reset ();
-    let d = X.create ~label:"bench" Config.default in
-    let h = X.register d in
-    let blocks, frees = make_ring ring_size in
-    let i = ref 0 in
-    let ops = 256 in
-    let cycle () =
-      for _ = 1 to ops do
-        let k = !i land (ring_size - 1) in
-        if Block.is_live blocks.(k) then X.retire h ?free:frees.(k) blocks.(k);
-        incr i
-      done
-    in
-    let ns, words = measure ~iters cycle in
-    X.flush h;
-    X.unregister h;
-    X.destroy ~force:true d;
-    Alloc.reset ();
-    {
-      kernel = "retire";
-      scheme = (X.caps Config.default).Hpbrcu_core.Caps.name;
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops;
-      ns_per_op = ns /. float_of_int ops;
-      minor_words_per_op = words /. float_of_int ops;
-      gated;
-    }
-
-  (* One cycle = 128 retirements + one explicit scan against [hazards] live
-     shields (the batch threshold is pushed out of reach so only [flush]
-     scans).  Reported per cycle: the scan dominates at every H. *)
-  let scan_kernel ~iters ~hazards =
-    let module X = Hp.Impl in
-    Alloc.reset ();
-    let d =
-      X.create ~label:"bench-scan"
-        { Config.default with batch = max_int lsr 1 }
-    in
-    let h = X.register d in
-    let prot = Array.init hazards (fun _ -> Alloc.block ()) in
-    let opts = Array.map (fun b -> Some b) prot in
-    let shields = Array.init hazards (fun _ -> X.new_shield h) in
-    Array.iteri (fun k s -> X.protect s opts.(k)) shields;
-    let blocks, frees = make_ring 128 in
-    let cycle () =
-      for k = 0 to 127 do
-        X.retire h ?free:frees.(k) blocks.(k)
-      done;
-      X.flush h
-    in
-    let ns, words = measure ~iters cycle in
-    Array.iter X.clear shields;
-    X.flush h;
-    X.unregister h;
-    X.destroy ~force:true d;
-    Alloc.reset ();
-    {
-      kernel = "scan";
-      scheme = "HP";
-      hazards;
-      iters;
-      ops_per_cycle = 1;
-      ns_per_op = ns;
-      minor_words_per_op = words;
-      gated = true;
-    }
-
-  let dom_make ~scheme =
-    Smr_intf.Dom.make ~scheme ~label:"bench" Config.default
-
-  let dom_drop meta =
-    Smr_intf.Dom.begin_destroy ~force:true meta;
-    Smr_intf.Dom.finish_destroy meta
-
-  let pin_kernel ~iters =
-    let ed = Epoch_core.create (dom_make ~scheme:"RCU") in
-    let h = Epoch_core.register ed in
-    let ops = 256 in
-    let cycle () =
-      for _ = 1 to ops do
-        Epoch_core.pin h;
-        Epoch_core.unpin h
-      done
-    in
-    let ns, words = measure ~iters cycle in
-    Epoch_core.unregister h;
-    Epoch_core.drain ed;
-    dom_drop ed.Epoch_core.meta;
-    {
-      kernel = "pin_unpin";
-      scheme = "EBR";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops;
-      ns_per_op = ns /. float_of_int ops;
-      minor_words_per_op = words /. float_of_int ops;
-      gated = true;
-    }
-
-  (* Repeated advance attempts that must fail: one participant stays pinned
-     below the global epoch, the classic spin of a reclaimer waiting out a
-     slow reader. *)
-  let advance_kernel ~iters =
-    let ed = Epoch_core.create (dom_make ~scheme:"RCU") in
-    let hs = Array.init 256 (fun _ -> Epoch_core.register ed) in
-    Epoch_core.pin hs.(0);
-    (* One successful advance turns hs.(0) into the lagging reader. *)
-    ignore (Epoch_core.try_advance ed : bool);
-    let ops = 64 in
-    let cycle () =
-      for _ = 1 to ops do
-        ignore (Epoch_core.try_advance ed : bool)
-      done
-    in
-    let ns, words = measure ~iters cycle in
-    Epoch_core.unpin hs.(0);
-    Array.iter Epoch_core.unregister hs;
-    Epoch_core.drain ed;
-    dom_drop ed.Epoch_core.meta;
-    {
-      kernel = "advance_fail";
-      scheme = "EBR";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops;
-      ns_per_op = ns /. float_of_int ops;
-      minor_words_per_op = words /. float_of_int ops;
-      gated = true;
-    }
-
-  (* The disabled-tracer fast path: every hot-path emit in the runtime is
-     one ref read and a branch when tracing is off (DESIGN.md §10).
-     Gated at zero allocation AND single-digit ns/emit — the instrumented
-     hot paths stay free when nobody is tracing. *)
-  let trace_emit_off_kernel ~iters =
-    let module Trace = Hpbrcu_runtime.Trace in
-    assert (not (Trace.enabled ()));
-    let ops = 256 in
-    let cycle () =
-      for k = 1 to ops do
-        Trace.emit Trace.Retire k;
-        Trace.emit2 Trace.Reclaim k (k + 1)
-      done
-    in
-    let ns, words = measure ~iters cycle in
-    {
-      kernel = "trace-emit-off";
-      scheme = "-";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops * 2;
-      ns_per_op = ns /. float_of_int (ops * 2);
-      minor_words_per_op = words /. float_of_int (ops * 2);
-      gated = true;
-    }
-
-  (* The armed flight recorder (DESIGN.md §15): one raw-tick read plus
-     four int stores into the caller's private ring.  Measured under a
-     parked companion domain so the runtime's multi-domain Atomic paths
-     are live — the configuration the recorder actually runs in — and
-     gated at 25 ns / zero allocation per event, the budget that keeps
-     domains-mode tracing honest about never perturbing what it
-     observes. *)
-  let flight_emit_budget_ns = 25.
-
-  let flight_emit_kernel ~iters =
-    let module Trace = Hpbrcu_runtime.Trace in
-    let ops = 256 in
-    let best (ns, w) (ns', w') = (Float.min ns ns', Float.max w w') in
-    let attempt () =
-      Hpbrcu_runtime.Backend.with_parked_domain (fun () ->
-          (* A 4K-record ring (128 KiB) stays L2-resident, so the kernel
-             times the emit path itself rather than DRAM streaming: the
-             production 64K-record rings see the same instructions, and
-             in real workloads (one event per ~100+ ns op) the store
-             buffer hides the line fills this back-to-back loop would
-             otherwise expose. *)
-          Trace.enable ~capacity:(1 lsl 12) ~sink:Trace.Flight ~gc:false ();
-          let cycle () =
-            for k = 1 to ops do
-              Trace.emit Trace.Retire k;
-              Trace.emit2 Trace.Reclaim k (k + 1)
-            done
-          in
-          (* Spin ~60 ms first: frequency governors ramp on a 1-10 ms
-             scale, and this path is short enough (tick read + a dozen
-             stores) that base-vs-boosted clock is the difference
-             between passing and failing the gate.  [measure]'s own
-             16-cycle warmup (~0.2 ms) ends before the ramp starts. *)
-          let t0 = Clock.now () in
-          while Clock.now () -. t0 < 0.06 do
-            cycle ()
-          done;
-          (* Best of five windows within the attempt: a single ~ms
-             window on a shared virtualized box is routinely inflated
-             20-40% by co-tenant preemption.  Words take the max — the
-             0-allocation claim must hold in every window. *)
-          let acc = ref (measure ~iters cycle) in
-          for _ = 1 to 4 do
-            acc := best !acc (measure ~iters cycle)
-          done;
-          Trace.disable ();
-          !acc)
-    in
-    (* The gate asks a capability question — does the armed emit run in
-       its budget — so a whole attempt that lands on a contended vCPU
-       (every window slow, including the tick-read baseline) earns a
-       fresh attempt after a pause, up to three.  A genuinely slow emit
-       path fails all of them. *)
-    let ns, words =
-      let rec go n acc =
-        let acc = best acc (attempt ()) in
-        if fst acc /. float_of_int (ops * 2) <= flight_emit_budget_ns || n <= 1
-        then acc
-        else (Unix.sleepf 0.05; go (n - 1) acc)
-      in
-      go 3 (infinity, 0.)
-    in
-    {
-      kernel = "flight-emit";
-      scheme = "-";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops * 2;
-      ns_per_op = ns /. float_of_int (ops * 2);
-      minor_words_per_op = words /. float_of_int (ops * 2);
-      gated = true;
-    }
-
-  (* The P0484-style scoped guards (Smr_intf.Scoped): with_op/with_crit/
-     with_mask are direct aliases of the underlying phase combinators, so
-     the guard layer must add exactly nothing over the bare phases.  The
-     gated number is the guarded-minus-bare allocation delta (EBR's op
-     allocates its retry closure by design — DESIGN.md §9 — in both
-     columns, so it cancels). *)
-  let guards_kernel ~iters =
-    let module X = Ebr.Impl in
-    let module G = Smr_intf.Scoped (X) in
-    Alloc.reset ();
-    let d = X.create ~label:"bench-guards" Config.default in
-    let h = X.register d in
-    let ops = 256 in
-    let body = fun () -> () in
-    let bare () =
-      for _ = 1 to ops do
-        X.op h body;
-        X.crit h body;
-        X.mask h body
-      done
-    in
-    let guarded () =
-      for _ = 1 to ops do
-        G.with_op h body;
-        G.with_crit h body;
-        G.with_mask h body
-      done
-    in
-    let _, bare_words = measure ~iters bare in
-    let ns, words = measure ~iters guarded in
-    X.unregister h;
-    X.destroy ~force:true d;
-    Alloc.reset ();
-    {
-      kernel = "guards";
-      scheme = "EBR";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops * 3;
-      ns_per_op = ns /. float_of_int (ops * 3);
-      minor_words_per_op =
-        Float.max 0. (words -. bare_words) /. float_of_int (ops * 3);
-      gated = true;
-    }
-
-  let brcu_advance_kernel ~iters =
-    let bd = Brcu_core.create (dom_make ~scheme:"BRCU") in
-    let hs = Array.init 64 (fun _ -> Brcu_core.register bd) in
-    let res = ref (0., 0.) in
-    let ops = 64 in
-    (* hs.(0) pins inside a critical section; the first flush advances the
-       global past it, after which every flush sees a lagging reader. *)
-    Brcu_core.crit hs.(0) (fun () ->
-        Brcu_core.flush hs.(1);
-        res :=
-          measure ~iters (fun () ->
-              for _ = 1 to ops do
-                Brcu_core.flush hs.(1)
-              done));
-    let ns, words = !res in
-    Array.iter Brcu_core.unregister hs;
-    Brcu_core.drain bd;
-    dom_drop bd.Brcu_core.meta;
-    {
-      kernel = "advance_fail";
-      scheme = "BRCU";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops;
-      ns_per_op = ns /. float_of_int ops;
-      minor_words_per_op = words /. float_of_int ops;
-      gated = true;
-    }
-
-  (* A read-side critical section as a traversal drives it: [crit] around
-     a preallocated body that polls for neutralization 8 times.  Gated at
-     zero allocation: [crit] builds no closure of its own, and the signal
-     handler [poll] passes is built once at [register]. *)
-  let crit_poll_kernel ~iters =
-    let bd = Brcu_core.create (dom_make ~scheme:"BRCU") in
-    let h = Brcu_core.register bd in
-    let body () =
-      for _ = 1 to 8 do
-        Brcu_core.poll h
-      done
-    in
-    let ops = 256 in
-    let cycle () =
-      for _ = 1 to ops do
-        Brcu_core.crit h body
-      done
-    in
-    let ns, words = measure ~iters cycle in
-    Brcu_core.unregister h;
-    Brcu_core.drain bd;
-    dom_drop bd.Brcu_core.meta;
-    {
-      kernel = "crit_poll";
-      scheme = "BRCU";
-      hazards = 0;
-      iters;
-      ops_per_cycle = ops;
-      ns_per_op = ns /. float_of_int ops;
-      minor_words_per_op = words /. float_of_int ops;
-      gated = true;
-    }
-
-  let run_all ~quick =
-    let sc = if quick then 8 else 1 in
-    let it n = max 8 (n / sc) in
-    let retire ~gated m = retire_kernel ~iters:(it 1000) ~gated m in
-    [
-      (* Allocation-free single-step retire/scan cycles (gated). *)
-      retire ~gated:true (module Hp.Impl : Smr_intf.SCHEME);
-      retire ~gated:true (module Hppp.Impl : Smr_intf.SCHEME);
-      retire ~gated:true (module He.Impl : Smr_intf.SCHEME);
-      retire ~gated:true (module Ibr.Impl : Smr_intf.SCHEME);
-      (* Deferred/two-step retirement allocates its closure by design
-         (documented in DESIGN.md §9); reported, not gated. *)
-      retire ~gated:false (module Ebr.Impl : Smr_intf.SCHEME);
-      retire ~gated:false (module Pebr.Impl : Smr_intf.SCHEME);
-      retire ~gated:false (module Nbr.Impl : Smr_intf.SCHEME);
-      retire ~gated:false (module Hp_rcu.Impl : Smr_intf.SCHEME);
-      retire ~gated:false (module Hp_brcu.Impl : Smr_intf.SCHEME);
-      scan_kernel ~iters:(it 1000) ~hazards:64;
-      scan_kernel ~iters:(it 300) ~hazards:1024;
-      scan_kernel ~iters:(it 60) ~hazards:16384;
-      pin_kernel ~iters:(it 1000);
-      advance_kernel ~iters:(it 1000);
-      guards_kernel ~iters:(it 1000);
-      brcu_advance_kernel ~iters:(it 500);
-      crit_poll_kernel ~iters:(it 1000);
-      trace_emit_off_kernel ~iters:(it 2000);
-      flight_emit_kernel ~iters:(it 2000);
-    ]
-
-  let write_json path rows =
-    let oc = open_out path in
-    output_string oc "{\n  \"benchmark\": \"reclaim\",\n  \"rows\": [\n";
-    let last = List.length rows - 1 in
-    List.iteri
-      (fun i r ->
-        Printf.fprintf oc
-          "    {\"kernel\": %S, \"scheme\": %S, \"hazards\": %d, \"iters\": \
-           %d, \"ops_per_cycle\": %d, \"ns_per_op\": %.1f, \
-           \"minor_words_per_op\": %.4f, \"gated\": %b}%s\n"
-          r.kernel r.scheme r.hazards r.iters r.ops_per_cycle r.ns_per_op
-          r.minor_words_per_op r.gated
-          (if i = last then "" else ","))
-      rows;
-    output_string oc "  ]\n}\n";
-    close_out oc
-
-  (* The gate tolerates the measurement probes' own float boxing. *)
-  let gate_threshold = 0.05
-
-  let run ~out ~gate ~quick =
-    let rows = run_all ~quick in
-    List.iter
-      (fun r ->
-        Printf.printf "%-12s %-8s H=%-6d %10.1f ns/op %10.4f words/op%s\n"
-          r.kernel r.scheme r.hazards r.ns_per_op r.minor_words_per_op
-          (if r.gated then "  [gated]" else ""))
-      rows;
-    write_json out rows;
-    Printf.printf "wrote %s\n" out;
-    if not gate then 0
-    else begin
-      let bad =
-        List.filter
-          (fun r -> r.gated && r.minor_words_per_op > gate_threshold)
-          rows
-      in
-      List.iter
-        (fun r ->
-          Printf.eprintf
-            "bench-reclaim: GATE FAIL %s/%s H=%d allocates %.4f minor \
-             words/op in steady state\n"
-            r.kernel r.scheme r.hazards r.minor_words_per_op)
-        bad;
-      (* The disabled-emit fast path additionally gates on latency: a ref
-         read and a branch must stay single-digit ns. *)
-      let slow_emit =
-        List.filter
-          (fun r -> r.kernel = "trace-emit-off" && r.ns_per_op >= 10.)
-          rows
-      in
-      List.iter
-        (fun r ->
-          Printf.eprintf
-            "bench-reclaim: GATE FAIL %s costs %.1f ns/op (must be < 10)\n"
-            r.kernel r.ns_per_op)
-        slow_emit;
-      (* The armed flight recorder gates at 25 ns/event: raw-tick stamp
-         plus four int stores, no syscall-path clock. *)
-      let slow_flight =
-        List.filter
-          (fun r ->
-            r.kernel = "flight-emit" && r.ns_per_op > flight_emit_budget_ns)
-          rows
-      in
-      List.iter
-        (fun r ->
-          Printf.eprintf
-            "bench-reclaim: GATE FAIL %s costs %.1f ns/op (must be <= 25)\n"
-            r.kernel r.ns_per_op)
-        slow_flight;
-      if bad = [] && slow_emit = [] && slow_flight = [] then begin
-        Printf.printf "bench-reclaim: allocation gate passed (all gated \
-                       kernels <= %.2f words/op, disabled emit < 10 ns, \
-                       armed flight emit <= 25 ns)\n" gate_threshold;
-        0
-      end
-      else 1
-    end
-
-  (* ---------------------------------------------------------------- *)
-  (* Domain parity: the same kernels inside a spawned domain           *)
-  (* (the bench-domains single-domain-overhead and allocation gates).  *)
-  (* ---------------------------------------------------------------- *)
-
-  type parity = {
-    pkernel : string;
-    pscheme : string;
-    main_ns : float;  (** ns/op on the main domain (the bench-reclaim row) *)
-    dom_ns : float;  (** ns/op inside a [Sched.run Domains] worker *)
-    dom_words : float;  (** minor words/op measured inside the worker *)
-  }
-
-  (* Run [f] inside a single spawned worker under the Domains backend.
-     [Gc.minor_words] inside the worker counts that domain's own minor
-     allocation (the main domain sits in [Domain.join] and allocates
-     nothing meanwhile), so the allocation gate is measured where the
-     work actually happens. *)
-  let in_domain (f : unit -> 'a) : 'a =
-    let module Sched = Hpbrcu_runtime.Sched in
-    let r = ref None in
-    Sched.run Sched.Domains ~nthreads:1 (fun _ -> r := Some (f ()));
-    Option.get !r
-
-  (** [domain_parity ~quick] — re-runs the gated retire kernels and the
-      epoch pin kernel inside a spawned domain and pairs each with its
-      main-domain twin.  Best-of-two on both sides damps scheduler noise
-      on a shared box; neither side runs effect handlers, so the ratio
-      isolates what the backend itself adds to the hot path. *)
-  let domain_parity ~quick =
-    let sc = if quick then 8 else 1 in
-    let it n = max 8 (n / sc) in
-    let kernels =
-      [
-        (fun () ->
-          retire_kernel ~iters:(it 1000) ~gated:true
-            (module Hp.Impl : Smr_intf.SCHEME));
-        (fun () ->
-          retire_kernel ~iters:(it 1000) ~gated:true
-            (module Hppp.Impl : Smr_intf.SCHEME));
-        (fun () ->
-          retire_kernel ~iters:(it 1000) ~gated:true
-            (module He.Impl : Smr_intf.SCHEME));
-        (fun () ->
-          retire_kernel ~iters:(it 1000) ~gated:true
-            (module Ibr.Impl : Smr_intf.SCHEME));
-        (fun () -> pin_kernel ~iters:(it 1000));
-      ]
-    in
-    let best_of_two f =
-      let a = f () in
-      let b = f () in
-      if a.ns_per_op <= b.ns_per_op then a else b
-    in
-    List.map
-      (fun k ->
-        (* The main-domain twin runs under a parked companion domain so
-           both sides pay the runtime's multi-domain Atomic paths; see
-           {!Hpbrcu_runtime.Backend.with_parked_domain}. *)
-        let m =
-          best_of_two (fun () -> Hpbrcu_runtime.Backend.with_parked_domain k)
-        in
-        let d = best_of_two (fun () -> in_domain k) in
-        {
-          pkernel = m.kernel;
-          pscheme = m.scheme;
-          main_ns = m.ns_per_op;
-          dom_ns = d.ns_per_op;
-          dom_words = d.minor_words_per_op;
-        })
-      kernels
-end
 
 let bench_reclaim_cmd =
   let out_arg =
@@ -1510,21 +913,24 @@ let bench_reclaim_cmd =
       & info [ "gate" ]
           ~doc:
             "Exit non-zero if any gated kernel allocates minor-heap words \
-             per op in steady state.")
+             per op in steady state or breaks its latency budget.")
   in
   let quick_arg =
     Arg.(
       value & flag
       & info [ "quick" ] ~doc:"Reduced iteration counts (CI gate).")
   in
-  let run out gate quick = Reclaim_bench.run ~out ~gate ~quick in
   Cmd.v
     (Cmd.info "bench-reclaim"
        ~doc:
-         "Reclamation data-plane microkernels (retire cycle, shield scan at \
-          H hazards, epoch pin/unpin, failed advance) with per-op time and \
-          minor-heap allocation; writes BENCH_reclaim.json")
-    Term.(const run $ out_arg $ gate_arg $ quick_arg)
+         "The kernel table: reclamation data-plane kernels (retire cycle, \
+          shield scan at H hazards, epoch pin/unpin, failed advance, trace \
+          emit), per-scheme crit/protect/retire and the structure kernels, \
+          with per-op time and minor-heap allocation; writes \
+          BENCH_reclaim.json")
+    Term.(
+      const (fun out gate quick -> W.Kernel_bench.run ~out ~gate ~quick)
+      $ out_arg $ gate_arg $ quick_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench-domains: the real-parallelism thread-sweep matrix.            *)
@@ -1532,7 +938,6 @@ let bench_reclaim_cmd =
 
 let bench_domains_cmd =
   let module DB = W.Domains_bench in
-  let module Json = W.Report.Json in
   let out_arg =
     Arg.(
       value
@@ -1589,97 +994,14 @@ let bench_domains_cmd =
   in
   let split s = String.split_on_char ',' s |> List.map String.trim in
   let run out gate quick threads scheme ds ops seed =
-    let threads = List.map int_of_string (split threads) in
-    let schemes =
-      match scheme with None -> DB.all_scheme_names | Some s -> split s
-    in
-    let dss =
-      match ds with
-      | None -> DB.default_dss
-      | Some s -> List.map W.Matrix.ds_of_string (split s)
-    in
-    (* Cells must stay long enough to amortize Domain.spawn (~a
-       millisecond per worker) or ns/op gates on spawn cost; the quick
-       floor is 2000 ops, not lower. *)
-    let ops_per_thread = if quick then min ops 2000 else ops in
-    let v =
-      DB.sweep ~schemes ~dss ~threads ~ops_per_thread ~seed
-        ~progress:print_endline ()
-    in
-    (* Kernel parity: the bench-reclaim microkernels re-run inside a
-       spawned domain and compared against their main-domain twins. *)
-    let parity = Reclaim_bench.domain_parity ~quick in
-    let parity_failures =
-      List.concat_map
-        (fun pr ->
-          let open Reclaim_bench in
-          Printf.printf
-            "kernel %-8s %-8s main %8.1f ns/op  domain %8.1f ns/op  %6.4f \
-             words/op\n"
-            pr.pkernel pr.pscheme pr.main_ns pr.dom_ns pr.dom_words;
-          (* +2 ns absolute grace: at tens-of-ns kernels a timer blip
-             should not trip a ratio gate. *)
-          (if pr.dom_ns > (pr.main_ns *. DB.overhead_limit) +. 2. then
-             [
-               Printf.sprintf
-                 "kernel %s/%s in-domain %.1f ns/op > %.1fx main-domain %.1f \
-                  ns/op"
-                 pr.pkernel pr.pscheme pr.dom_ns DB.overhead_limit pr.main_ns;
-             ]
-           else [])
-          @
-          if pr.dom_words > Reclaim_bench.gate_threshold then
-            [
-              Printf.sprintf
-                "kernel %s/%s allocates %.4f minor words/op inside the domain"
-                pr.pkernel pr.pscheme pr.dom_words;
-            ]
-          else [])
-        parity
-    in
-    let kernel_rows =
-      List.map
-        (fun pr ->
-          let open Reclaim_bench in
-          Json.Obj
-            [
-              ("kernel", Json.Str pr.pkernel);
-              ("scheme", Json.Str pr.pscheme);
-              ("main_ns_per_op", Json.Float pr.main_ns);
-              ("domain_ns_per_op", Json.Float pr.dom_ns);
-              ("domain_minor_words_per_op", Json.Float pr.dom_words);
-              ( "ratio",
-                Json.Float (pr.dom_ns /. Float.max 1e-9 pr.main_ns) );
-            ])
-        parity
-    in
-    let v = { v with DB.failures = v.DB.failures @ parity_failures } in
-    (* Flight-recorder whole-cell delta: what arming the per-domain trace
-       rings costs a representative cell, recorded beside the baseline. *)
-    let flight = DB.flight_delta ~ops_per_thread ~seed () in
-    (match flight with
-    | Some f ->
-        Printf.printf
-          "flight-recorder delta %s/%s@%d: off %.1f ns/op, armed %.1f ns/op \
-           (%+.1f%%), %d events kept / %d dropped\n"
-          f.DB.fd_scheme (Hpbrcu_core.Caps.ds_name f.DB.fd_ds) f.DB.fd_threads
-          f.DB.off_ns f.DB.on_ns f.DB.overhead_pct f.DB.fd_kept f.DB.fd_dropped
-    | None -> ());
-    DB.write_json ?flight out v ~kernel_rows;
-    Printf.printf "wrote %s\n" out;
-    if not gate then 0
-    else if v.DB.failures = [] then begin
-      Printf.printf
-        "bench-domains: gate passed (%d cells, %d parity kernels, %d \
-         hardware threads)\n"
-        (List.length v.DB.cells) (List.length parity)
-        (Hpbrcu_runtime.Backend.hardware_threads ());
-      0
-    end
-    else begin
-      List.iter (Printf.eprintf "bench-domains: GATE FAIL %s\n") v.DB.failures;
-      1
-    end
+    DB.run ~out ~gate ~quick
+      ~threads:(List.map int_of_string (split threads))
+      ~schemes:(match scheme with None -> DB.all_scheme_names | Some s -> split s)
+      ~dss:
+        (match ds with
+        | None -> DB.default_dss
+        | Some s -> List.map W.Matrix.ds_of_string (split s))
+      ~ops_per_thread:ops ~seed
   in
   Cmd.v
     (Cmd.info "bench-domains"

@@ -50,17 +50,18 @@ module type S = sig
       finished; re-raises the first worker failure after joining all. *)
 end
 
-(** [with_parked_domain f] — run [f] while one extra domain exists,
-    parked on a condition variable (zero CPU).
+(** [park_domain ()] spawns one extra domain, parked on a condition
+    variable (zero CPU), and returns the function that releases and
+    joins it.
 
     The OCaml runtime serves [Atomic] operations through a fenceless
     fast path while a single domain is running; the first spawn switches
     them to real fenced instructions, which costs atomic-heavy kernels
     1.5–2x on their own.  Baselines that will be compared against work
     done {e inside} spawned workers (which always pay the multi-domain
-    paths) must therefore be measured under this wrapper, or the
+    paths) must therefore be measured with a parked companion, or the
     comparison gates on runtime physics instead of backend overhead. *)
-let with_parked_domain f =
+let park_domain () =
   let m = Mutex.create () in
   let cv = Condition.create () in
   let release = ref false in
@@ -72,14 +73,16 @@ let with_parked_domain f =
         done;
         Mutex.unlock m)
   in
-  let finally () =
+  fun () ->
     Mutex.lock m;
     release := true;
     Condition.broadcast cv;
     Mutex.unlock m;
     Domain.join parked
-  in
-  Fun.protect ~finally f
+
+(** [with_parked_domain f] — run [f] while a {!park_domain} companion
+    exists. *)
+let with_parked_domain f = Fun.protect ~finally:(park_domain ()) f
 
 module Domains : S = struct
   let name = "domains"

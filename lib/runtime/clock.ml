@@ -1,8 +1,8 @@
 (** Wall-clock and duration helpers for the measurement harness. *)
 
 (** Monotonic-enough time in seconds.  [Unix.gettimeofday] is sufficient for
-    the 0.1–10 s windows the harness measures; bechamel uses its own
-    monotonic clock for the microbenchmarks. *)
+    the 0.1–10 s windows the harness measures, and for the kernel table's
+    windows of thousands of calls. *)
 let now = Unix.gettimeofday
 
 external now_ns : unit -> int = "hpbrcu_clock_monotonic_ns" [@@noalloc]

@@ -94,11 +94,11 @@ struct
 
   (** [run ~config cell] — one cell on a domain of its own, created under
       [config] and destroyed when the cell ends. *)
-  let run ~config ?(create = L.create) (c : Spec.cell) : Spec.result =
+  let run ~config (c : Spec.cell) : Spec.result =
     G.with_domain config @@ fun d ->
     Alloc.reset ();
     Alloc.set_strict false;
-    let t = create d in
+    let t = L.create d in
     prefill t c;
     Alloc.reset_peak ();
     let lat = make_lat c in

@@ -24,6 +24,10 @@
       virtual clock and no seeded chooser in its loop, so the ratio is
       normally well below 1; breaching 1.5 means the backend itself grew
       a hot-path cost.
+    - {b kernel parity}: the kernel table's gated retire rows and its
+      epoch pin row ({!parity_kernels}) re-run inside a spawned domain
+      must stay within {!overhead_limit}× (+2 ns) of their main-domain
+      twins and allocation-free there.
     - {b scalability} (ratio rows): only evaluated when the clamp leaves
       ≥ 2 usable cores; below that the ratio column is reported as null
       and no ratio gate applies.  Every cell runs {!reps} times and is
@@ -339,39 +343,27 @@ let flight_delta ?(scheme = "HP-BRCU") ?(ds = Caps.HHSList)
     Trace.disable ();
     Option.map (fun r -> (ns_per_op r, kept, dropped)) r
   in
-  match best cell with
-  | None -> None
-  | Some off_ns -> (
-      match (armed (), armed ()) with
-      | Some (a, ka, da), Some (b, kb, db) ->
-          let on_ns, fd_kept, fd_dropped =
-            if a <= b then (a, ka, da) else (b, kb, db)
-          in
-          Some
-            {
-              fd_scheme = scheme;
-              fd_ds = ds;
-              fd_threads = threads;
-              off_ns;
-              on_ns;
-              overhead_pct = (on_ns -. off_ns) /. Float.max 1e-9 off_ns *. 100.;
-              fd_kept;
-              fd_dropped;
-            }
-      | Some (on_ns, fd_kept, fd_dropped), None
-      | None, Some (on_ns, fd_kept, fd_dropped) ->
-          Some
-            {
-              fd_scheme = scheme;
-              fd_ds = ds;
-              fd_threads = threads;
-              off_ns;
-              on_ns;
-              overhead_pct = (on_ns -. off_ns) /. Float.max 1e-9 off_ns *. 100.;
-              fd_kept;
-              fd_dropped;
-            }
-      | None, None -> None)
+  let on =
+    match (armed (), armed ()) with
+    | Some ((a, _, _) as x), Some ((b, _, _) as y) ->
+        Some (if a <= b then x else y)
+    | (Some _ as x), None | None, (Some _ as x) -> x
+    | None, None -> None
+  in
+  match (best cell, on) with
+  | Some off_ns, Some (on_ns, fd_kept, fd_dropped) ->
+      Some
+        {
+          fd_scheme = scheme;
+          fd_ds = ds;
+          fd_threads = threads;
+          off_ns;
+          on_ns;
+          overhead_pct = (on_ns -. off_ns) /. Float.max 1e-9 off_ns *. 100.;
+          fd_kept;
+          fd_dropped;
+        }
+  | _ -> None
 
 let json_of_flight_delta (f : flight_delta) =
   Json.Obj
@@ -386,11 +378,95 @@ let json_of_flight_delta (f : flight_delta) =
       ("dropped_events", Json.Int f.fd_dropped);
     ]
 
-(** [write_json path v ~kernel_rows] — the BENCH_domains.json document:
-    environment header, matrix cells, optional kernel-parity section
-    (filled in by [smrbench], which owns the microkernels), the
-    flight-recorder on/off delta, and the gate verdict. *)
-let write_json ?flight path (v : verdict) ~(kernel_rows : Json.value list) =
+(* ------------------------------------------------------------------ *)
+(* Kernel parity                                                       *)
+(* ------------------------------------------------------------------ *)
+
+type parity = {
+  pkernel : string;
+  pscheme : string;
+  main_ns : float;  (** ns/op on the main domain (the bench-reclaim row) *)
+  dom_ns : float;  (** ns/op inside a [Sched.run Domains] worker *)
+  dom_words : float;  (** minor words/op measured inside the worker *)
+}
+
+(* The gated retire rows and the epoch pin row of the kernel table. *)
+let parity_kernels =
+  List.filter
+    (fun k ->
+      let r = k.Kernel_bench.spec in
+      (r.kernel = "retire" && r.gated) || r.kernel = "pin_unpin")
+    Kernel_bench.table
+
+(* Run [f] inside a single spawned worker under the Domains backend.
+   [Gc.minor_words] inside the worker counts that domain's own minor
+   allocation (the main domain sits in [Domain.join] and allocates
+   nothing meanwhile), so the allocation gate is measured where the work
+   actually happens. *)
+let in_domain (f : unit -> 'a) : 'a =
+  let r = ref None in
+  Hpbrcu_runtime.Sched.run Hpbrcu_runtime.Sched.Domains ~nthreads:1 (fun _ ->
+      r := Some (f ()));
+  Option.get !r
+
+(** [domain_parity ~quick] — re-runs {!parity_kernels} inside a spawned
+    domain and pairs each with its main-domain twin.  Best-of-two on both
+    sides damps scheduler noise on a shared box; neither side runs effect
+    handlers, so the ratio isolates what the backend itself adds to the
+    hot path.  The main-domain twin runs under a parked companion domain
+    so both sides pay the runtime's multi-domain Atomic paths (see
+    {!Backend.park_domain}). *)
+let domain_parity ~quick =
+  let best_of_two f =
+    let a = f () and b = f () in
+    if a.Kernel_bench.ns_per_op <= b.Kernel_bench.ns_per_op then a else b
+  in
+  List.map
+    (fun k ->
+      let run () = Kernel_bench.run_kernel ~quick k in
+      let m = best_of_two (fun () -> Backend.with_parked_domain run) in
+      let d = best_of_two (fun () -> in_domain run) in
+      {
+        pkernel = m.kernel;
+        pscheme = m.scheme;
+        main_ns = m.ns_per_op;
+        dom_ns = d.ns_per_op;
+        dom_words = d.minor_words_per_op;
+      })
+    parity_kernels
+
+(* +2 ns absolute grace: at tens-of-ns kernels a timer blip should not
+   trip a ratio gate. *)
+let parity_failures p =
+  (if p.dom_ns > (p.main_ns *. overhead_limit) +. 2. then
+     [
+       Printf.sprintf "kernel %s/%s in-domain %.1f ns/op > %.1fx main-domain %.1f ns/op"
+         p.pkernel p.pscheme p.dom_ns overhead_limit p.main_ns;
+     ]
+   else [])
+  @
+  if p.dom_words > Kernel_bench.words_budget then
+    [
+      Printf.sprintf "kernel %s/%s allocates %.4f minor words/op inside the domain"
+        p.pkernel p.pscheme p.dom_words;
+    ]
+  else []
+
+let json_of_parity p =
+  Json.Obj
+    [
+      ("kernel", Json.Str p.pkernel);
+      ("scheme", Json.Str p.pscheme);
+      ("main_ns_per_op", Json.Float p.main_ns);
+      ("domain_ns_per_op", Json.Float p.dom_ns);
+      ("domain_minor_words_per_op", Json.Float p.dom_words);
+      ("ratio", Json.Float (p.dom_ns /. Float.max 1e-9 p.main_ns));
+    ]
+
+(** [write_json ?flight path v parity] — the BENCH_domains.json
+    document: environment header, matrix cells, the kernel-parity rows,
+    the flight-recorder on/off delta, and the gate verdict. *)
+let write_json ?flight path (v : verdict) parity =
   Json.to_file path
     (Json.Obj
        [
@@ -399,10 +475,56 @@ let write_json ?flight path (v : verdict) ~(kernel_rows : Json.value list) =
          ( "ratio_gates_active",
            Json.Bool (Backend.hardware_threads () >= 2) );
          ("cells", Json.List (List.map json_of_cell v.cells));
-         ("kernels", Json.List kernel_rows);
+         ("kernels", Json.List (List.map json_of_parity parity));
          ( "flight_recorder_delta",
            match flight with
            | None -> Json.Null
            | Some f -> json_of_flight_delta f );
          ("gate_failures", Json.List (List.map (fun f -> Json.Str f) v.failures));
        ])
+
+(** [run ~out ~gate ~quick ...] — the whole [smrbench bench-domains]:
+    the matrix sweep, kernel parity and the flight-recorder delta,
+    printed and written to [out]; with [gate], 1 on any failure.  Quick
+    cells keep at most 2000 ops per worker: they must stay long enough
+    to amortize [Domain.spawn] (~a millisecond per worker). *)
+let run ~out ~gate ~quick ~schemes ~dss ~threads ~ops_per_thread ~seed =
+  let ops_per_thread = if quick then min ops_per_thread 2000 else ops_per_thread in
+  let v =
+    sweep ~schemes ~dss ~threads ~ops_per_thread ~seed ~progress:print_endline ()
+  in
+  let parity = domain_parity ~quick in
+  List.iter
+    (fun p ->
+      Printf.printf
+        "kernel %-8s %-8s main %8.1f ns/op  domain %8.1f ns/op  %6.4f words/op\n"
+        p.pkernel p.pscheme p.main_ns p.dom_ns p.dom_words)
+    parity;
+  let v =
+    { v with failures = v.failures @ List.concat_map parity_failures parity }
+  in
+  (* What arming the per-domain trace rings costs a representative
+     cell, recorded beside the baseline. *)
+  let flight = flight_delta ~ops_per_thread ~seed () in
+  Option.iter
+    (fun f ->
+      Printf.printf
+        "flight-recorder delta %s/%s@%d: off %.1f ns/op, armed %.1f ns/op \
+         (%+.1f%%), %d events kept / %d dropped\n"
+        f.fd_scheme (Caps.ds_name f.fd_ds) f.fd_threads f.off_ns f.on_ns
+        f.overhead_pct f.fd_kept f.fd_dropped)
+    flight;
+  write_json ?flight out v parity;
+  Printf.printf "wrote %s\n" out;
+  if not gate then 0
+  else if v.failures = [] then begin
+    Printf.printf
+      "bench-domains: gate passed (%d cells, %d parity kernels, %d hardware \
+       threads)\n"
+      (List.length v.cells) (List.length parity) (Backend.hardware_threads ());
+    0
+  end
+  else begin
+    List.iter (Printf.eprintf "bench-domains: GATE FAIL %s\n") v.failures;
+    1
+  end

@@ -146,27 +146,34 @@ let buckets s : (module Ds.Ds_intf.MAKE) =
    (≈1.7 nodes at 50% occupancy). *)
 let bucket_hint key_range = max 16 (key_range / 4)
 
+(** [map_module (module X) config ds ~key_range] — structure [ds] over
+    [X]'s domains; a HashMap gets {!buckets} lists and a table sized by
+    {!bucket_hint}. *)
+let map_module (type d) (module X : SI.SCHEME with type domain = d) config ds
+    ~key_range : (module Ds.Ds_intf.MAP with type domain = d) =
+  match (ds : Caps.ds_id) with
+  | Caps.HList -> (module Ds.Harris_list.Make (X))
+  | Caps.HMList -> (module Ds.Hm_list.Make (X))
+  | Caps.HHSList -> (module Ds.Harris_list.Make_hhs (X))
+  | Caps.HashMap ->
+      let module B = (val buckets ((module X : SI.SCHEME), config)) in
+      (module struct
+        include Ds.Hashmap.Make_gen (B) (X)
+
+        let create d = create_sized d (bucket_hint key_range)
+      end)
+  | Caps.SkipList -> (module Ds.Skiplist.Make (X))
+  | Caps.NMTree -> (module Ds.Nmtree.Make (X))
+
 (** [run_cell ~ds ~scheme cell] executes one experiment cell on a domain
     of its own, or returns [None] when the pair is excluded by Table 1. *)
 let run_cell ~(ds : Caps.ds_id) ~(scheme : string) (cell : Spec.cell) :
     Spec.result option =
   let ((module X : SI.SCHEME), config) as s = find_scheme scheme in
-  let run (module L : Ds.Ds_intf.MAP with type domain = X.domain) =
-    let module R = Cell_runner.Make (X) (L) in
-    R.run ~config cell
-  in
   if not (supports s ds) then None
   else
-    Some
-      (match ds with
-      | Caps.HList -> run (module Ds.Harris_list.Make (X))
-      | Caps.HMList -> run (module Ds.Hm_list.Make (X))
-      | Caps.HHSList -> run (module Ds.Harris_list.Make_hhs (X))
-      | Caps.HashMap ->
-          let module B = (val buckets s) in
-          let module L = Ds.Hashmap.Make_gen (B) (X) in
-          let module R = Cell_runner.Make (X) (L) in
-          R.run ~config cell ~create:(fun d ->
-              L.create_sized d (bucket_hint cell.Spec.key_range))
-      | Caps.SkipList -> run (module Ds.Skiplist.Make (X))
-      | Caps.NMTree -> run (module Ds.Nmtree.Make (X)))
+    let module L =
+      (val map_module (module X) config ds ~key_range:cell.Spec.key_range)
+    in
+    let module R = Cell_runner.Make (X) (L) in
+    Some (R.run ~config cell)

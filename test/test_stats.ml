@@ -115,35 +115,14 @@ let test_counter_shards_sum () =
   Alcotest.(check int) "reset" 0 (Stats.Counter.value c)
 
 (* ------------------------------------------------------------------ *)
-(* Tracer ring buffers                                                 *)
+(* Tracer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_ring_wraparound () =
-  Trace.enable ~capacity:8 ();
-  for i = 0 to 19 do
-    Trace.emit Trace.Retire i
-  done;
-  let recs = Trace.dump () in
-  Alcotest.(check int) "kept = capacity" 8 (List.length recs);
-  Alcotest.(check int) "dropped" 12 (Trace.dropped ());
-  Alcotest.(check (list int))
-    "the LAST events survive, in order"
-    [ 12; 13; 14; 15; 16; 17; 18; 19 ]
-    (List.map (fun r -> r.Trace.arg) recs);
-  List.iter
-    (fun r -> Alcotest.(check int) "outside-worker tid" (-1) r.Trace.tid)
-    recs;
-  Trace.disable ();
-  (* Disabled: emit is a no-op, the old dump stays readable. *)
-  Trace.emit Trace.Retire 99;
-  Alcotest.(check int) "no emit when disabled" 8 (List.length (Trace.dump ()));
-  Alcotest.(check int) "no drop when disabled" 12 (Trace.dropped ())
-
 let test_trace_enable_clears () =
-  Trace.enable ~capacity:8 ();
+  Trace.enable ~capacity:8 ~sink:Trace.Spool ();
   Trace.emit Trace.Rollback 0;
-  Trace.enable ~capacity:8 ();
-  Alcotest.(check int) "enable clears old rings" 0 (List.length (Trace.dump ()));
+  Trace.enable ~capacity:8 ~sink:Trace.Spool ();
+  Alcotest.(check int) "enable clears old spools" 0 (List.length (Trace.dump ()));
   Trace.disable ()
 
 (* ------------------------------------------------------------------ *)
@@ -229,7 +208,7 @@ let test_spool_growth () =
     recs
 
 (* Bounded: past the per-thread record bound the spool counts but stops
-   storing — the FIRST [capacity] events survive (vs the ring's last). *)
+   storing — the FIRST [capacity] events survive. *)
 let test_spool_bound () =
   Trace.enable ~capacity:10 ~sink:Trace.Spool ();
   for i = 0 to 24 do
@@ -242,7 +221,14 @@ let test_spool_bound () =
   Alcotest.(check (list int))
     "the FIRST events survive"
     [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.map (fun r -> r.Trace.arg) recs)
+    (List.map (fun r -> r.Trace.arg) recs);
+  List.iter
+    (fun r -> Alcotest.(check int) "outside-worker tid" (-1) r.Trace.tid)
+    recs;
+  (* Disabled: emit is a no-op, the old dump stays readable. *)
+  Trace.emit Trace.Retire 99;
+  Alcotest.(check int) "no emit when disabled" 10 (List.length (Trace.dump ()));
+  Alcotest.(check int) "no drop when disabled" 15 (Trace.dropped ())
 
 (* to_file/read_file invert each other. *)
 let test_trace_file_roundtrip () =
@@ -312,11 +298,11 @@ let test_participants_exhaustion () =
 (* Determinism: trace and snapshot are pure functions of the seed      *)
 (* ------------------------------------------------------------------ *)
 
-let run_traced ?(sink = Trace.Ring) () =
+let run_traced () =
   (* Reset the allocator counters, so both traced runs start from the
      same world state ([run_cell] owns and drains its domain). *)
   Hpbrcu_alloc.Alloc.reset ();
-  Trace.enable ~capacity:(1 lsl 16) ~sink ();
+  Trace.enable ~capacity:(1 lsl 16) ~sink:Trace.Spool ();
   let cell =
     W.Spec.cell ~threads:4 ~key_range:128 ~prefill:64 ~workload:W.Spec.Read_write
       ~limit:(W.Spec.Ops 150) ~mode:(W.Spec.Fibers 17) ~seed:17 ()
@@ -355,8 +341,8 @@ let test_spool_determinism () =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let _, t1 = run_traced ~sink:Trace.Spool () in
-  let _, t2 = run_traced ~sink:Trace.Spool () in
+  let _, t1 = run_traced () in
+  let _, t2 = run_traced () in
   Alcotest.(check bool) "spooled log is non-trivial" true
     (List.length t1 > 100);
   Alcotest.(check int) "nothing dropped" 0 (Trace.dropped ());
@@ -383,7 +369,7 @@ let test_spool_determinism () =
 (* Perfetto export smoke: valid-looking Chrome trace JSON with span and
    metadata events. *)
 let test_perfetto_export () =
-  let _, t = run_traced ~sink:Trace.Spool () in
+  let _, t = run_traced () in
   let path = Filename.temp_file "smrbench" ".perfetto.json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -436,7 +422,6 @@ let () =
       ("gauge", [ Alcotest.test_case "watermarks" `Quick test_gauge ]);
       ( "trace",
         [
-          Alcotest.test_case "ring-wraparound" `Quick test_ring_wraparound;
           Alcotest.test_case "enable-clears" `Quick test_trace_enable_clears;
           Alcotest.test_case "event-code-roundtrip" `Quick
             test_event_code_roundtrip;
