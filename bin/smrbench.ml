@@ -243,13 +243,18 @@ let trace_cmd =
   let last_arg =
     Arg.(
       value & opt int 0
-      & info [ "last" ] ~doc:"Print only the last $(docv) events (0 = all kept).")
+      & info [ "last" ] ~docv:"N"
+          ~doc:
+            "Print only the last $(docv) events the spool kept (0 = all kept). \
+             The spool keeps each thread's first events, so on a run that \
+             overflows it these are the tail of the kept prefix, not the \
+             run's final events; the trailer counts the dropped ones.")
   in
   let run scheme ds ops threads seed range last trace_out =
     (* Always the deterministic simulator: traces are timestamped by the
        virtual tick clock, so the same seed replays the same event log,
        spooled non-lossily (analyze input with --trace-out). *)
-    T.enable ~sink:T.Spool ();
+    T.enable ();
     let cell =
       W.Spec.cell ~threads ~key_range:range ~workload:W.Spec.Read_write
         ~limit:(W.Spec.Ops ops) ~mode:(W.Spec.Fibers seed) ~seed ()

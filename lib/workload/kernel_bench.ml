@@ -80,16 +80,13 @@ type fixture = {
 
 let fixture ?baseline ?(teardown = ignore) cycle = { cycle; baseline; teardown }
 
-(** How a kernel's window is taken.  [Best_of] sets the fixture up
-    [attempts] times at most, spins it for [spin_s] seconds (frequency
-    governors ramp on a 1–10 ms scale), and keeps the fastest of
-    [windows] windows with the largest allocation; a further attempt runs
-    only while the best so far breaks the row's ns budget. *)
-type timing = Window | Best_of of { windows : int; attempts : int; spin_s : float }
+type kernel = {
+  spec : row;
+  best_of : bool;  (** time as {!run_kernel}'s best of several windows *)
+  setup : unit -> fixture;
+}
 
-type kernel = { spec : row; timing : timing; setup : unit -> fixture }
-
-let kernel ?(timing = Window) spec setup = { spec; timing; setup }
+let kernel ?(best_of = false) spec setup = { spec; best_of; setup }
 
 (* ------------------------------------------------------------------ *)
 (* The measuring loop                                                  *)
@@ -139,7 +136,11 @@ let within_ns_budget r =
 let iters_for ~quick n = if quick then max 8 (n / 8) else n
 
 (** [run_kernel ~quick k] sets [k] up, times it, tears it down and
-    returns its measured row. *)
+    returns its measured row.  A [best_of] kernel spins its fixture for
+    60 ms first (frequency governors ramp on a 1–10 ms scale) and keeps
+    the fastest of 5 windows with the largest allocation; while the best
+    so far breaks the row's ns budget, a fresh setup gets another try
+    after a pause, up to 3 attempts in all. *)
 let run_kernel ~quick k =
   let iters = iters_for ~quick k.spec.iters in
   let ops = float_of_int k.spec.ops_per_cycle in
@@ -160,19 +161,18 @@ let run_kernel ~quick k =
         done;
         !acc)
   in
-  match k.timing with
-  | Window -> measured (attempt 1 0.)
-  | Best_of { windows; attempts; spin_s } ->
-      let rec go n acc =
-        let acc = best acc (attempt windows spin_s) in
-        let r = measured acc in
-        if within_ns_budget r || n <= 1 then r
-        else begin
-          Unix.sleepf 0.05;
-          go (n - 1) acc
-        end
-      in
-      go attempts (infinity, 0.)
+  if not k.best_of then measured (attempt 1 0.)
+  else
+    let rec go n acc =
+      let acc = best acc (attempt 5 0.06) in
+      let r = measured acc in
+      if within_ns_budget r || n <= 1 then r
+      else begin
+        Unix.sleepf 0.05;
+        go (n - 1) acc
+      end
+    in
+    go 3 (infinity, 0.)
 
 (** [gate rows] — one message per budget a row breaks; [[]] passes. *)
 let gate rows =
@@ -234,9 +234,7 @@ let on_handle (type h) (module X : SI.SCHEME with type handle = h) config
         Alloc.reset ());
   }
 
-(* One retirement per op around a ring.  NR never reclaims, so its ring
-   drains on the first lap and the row then times the liveness probe
-   alone: the loop's own floor. *)
+(* One retirement per op around a ring. *)
 let retire ~gated name =
   let (module X : SI.SCHEME), config = Matrix.find_scheme name in
   let ops = 256 in
@@ -249,6 +247,26 @@ let retire ~gated name =
                let k = !i land (ring_size - 1) in
                if Block.is_live blocks.(k) then
                  X.retire h ?free:frees.(k) blocks.(k);
+               incr i
+             done)))
+
+(* NR never reclaims, so on {!retire}'s ring it would retire one lap of
+   blocks and then time the liveness probe alone.  Its fixture frees
+   each block right after retiring it — the immediate reclamation a
+   scheme's free callback performs — so every op is a real retirement:
+   the no-reclamation baseline for the retire rows. *)
+let retire_nr =
+  let (module X : SI.SCHEME), config = Matrix.find_scheme "NR" in
+  let ops = 256 in
+  kernel (row ~iters:1000 ~ops "retire" "NR")
+    (on_handle (module X) config (fun h ->
+         let blocks, _ = make_ring ring_size in
+         let i = ref 0 in
+         fixture (fun () ->
+             for _ = 1 to ops do
+               let b = blocks.(!i land (ring_size - 1)) in
+               X.retire h b;
+               Block.reanimate b ~era:0;
                incr i
              done)))
 
@@ -452,17 +470,16 @@ let trace_emit_off =
    store buffer hides the line fills this back-to-back loop exposes.
 
    The budget asks a capability question — does the armed emit run in
-   25 ns — so the row spins ~60 ms first (this path is short enough
-   that base-vs-boosted clock decides the gate), keeps the best of five
-   windows (a single ~ms window on a shared virtualized box is routinely
-   inflated 20–40% by co-tenant preemption; words take the max, since
-   the zero-allocation claim must hold in every window), and an attempt
-   that lands on a contended vCPU earns a fresh one after a pause, up to
-   three.  A genuinely slow emit path fails all of them. *)
+   25 ns — so the row is timed best-of ({!run_kernel}): this path is
+   short enough that base-vs-boosted clock decides the gate, a single
+   ~ms window on a shared virtualized box is routinely inflated 20–40%
+   by co-tenant preemption, and words take the max, since the
+   zero-allocation claim must hold in every window.  A genuinely slow
+   emit path fails every attempt. *)
 let flight_emit =
   let ops = 256 in
   kernel
-    ~timing:(Best_of { windows = 5; attempts = 3; spin_s = 0.06 })
+    ~best_of:true
     (row ~gated:true ~ns_budget:(At_most flight_emit_budget_ns) ~iters:2000
        ~ops:(ops * 2) "flight-emit" "-")
     (fun () ->
@@ -553,8 +570,10 @@ let table =
          two-step schemes allocate by design (DESIGN.md §9). *)
       List.map (retire ~gated:true) [ "HP"; "HP++"; "HE"; "IBR" ];
       List.map (retire ~gated:false)
-        [ "RCU"; "PEBR"; "NBR"; "HP-RCU"; "HP-BRCU"; "NR"; "VBR" ];
+        [ "RCU"; "PEBR"; "NBR"; "HP-RCU"; "HP-BRCU" ];
       [
+        retire_nr;
+        retire ~gated:false "VBR";
         scan ~iters:1000 64;
         scan ~iters:300 1024;
         scan ~iters:60 16384;
