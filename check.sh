@@ -130,6 +130,20 @@ else
   echo "check.sh: 1 hardware thread; skipping serve --mode domains --compare gate"
 fi
 
+# Repository-benchmark smoke gate (perfbench/README.md): each workload
+# runs 2 s of HP-BRCU map traffic on real domains and must exit 0 — every
+# answer checked against its owner's model, the allocator census exact.
+# A planted wrong answer must then fail the run, so the answer oracle
+# over the list node layout is known to bite.
+for w in kv-zipf kv-churn long-read; do
+  gate "perfbench $w" python3 perfbench/run.py --workload "$w" --seed 1 \
+    --seconds 2 --trace 0 >/dev/null
+done
+if python3 perfbench/run.py --workload kv-churn --seed 1 --seconds 2 \
+  --trace 0 --plant answer >/dev/null 2>&1; then
+  fail "perfbench --plant answer (the planted answer passed)"
+fi
+
 # Atomics audit gate (DESIGN.md §16): the fault/watchdog/chaos/service
 # crash paths run on real domains now, so their modules must not grow
 # new top-level 'ref' cells — cross-domain state is Atomic.t (or

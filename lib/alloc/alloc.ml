@@ -30,11 +30,14 @@ let pp_stats ppf s =
     s.peak_unreclaimed s.uaf s.poisoned_reads s.double_retires
     s.double_reclaims
 
-(* Global registry.  Experiments call [reset ()] between cells. *)
-let allocated = Atomic.make 0
-let retired = Atomic.make 0
-let reclaimed = Atomic.make 0
-let abandoned = Atomic.make 0
+(* Global registry.  Experiments call [reset ()] between cells.  The four
+   event totals are bumped on every insert, retire and reclaim by every
+   domain, so they are laned like [unreclaimed] (values only, no peak) and
+   [stats] folds the lanes; the violation counters below are cold. *)
+let allocated = Hpbrcu_runtime.Counter.make ()
+let retired = Hpbrcu_runtime.Counter.make ()
+let reclaimed = Hpbrcu_runtime.Counter.make ()
+let abandoned = Hpbrcu_runtime.Counter.make ()
 let unreclaimed = Hpbrcu_runtime.Counter.make ()
 let uaf = Atomic.make 0
 let poisoned_reads = Atomic.make 0
@@ -193,10 +196,10 @@ end
 
 let stats () =
   {
-    allocated = Atomic.get allocated;
-    retired = Atomic.get retired;
-    reclaimed = Atomic.get reclaimed;
-    abandoned = Atomic.get abandoned;
+    allocated = Hpbrcu_runtime.Counter.get allocated;
+    retired = Hpbrcu_runtime.Counter.get retired;
+    reclaimed = Hpbrcu_runtime.Counter.get reclaimed;
+    abandoned = Hpbrcu_runtime.Counter.get abandoned;
     unreclaimed = Hpbrcu_runtime.Counter.get unreclaimed;
     peak_unreclaimed = Hpbrcu_runtime.Counter.peak unreclaimed;
     uaf = Atomic.get uaf;
@@ -206,10 +209,10 @@ let stats () =
   }
 
 let reset () =
-  Atomic.set allocated 0;
-  Atomic.set retired 0;
-  Atomic.set reclaimed 0;
-  Atomic.set abandoned 0;
+  Hpbrcu_runtime.Counter.reset allocated;
+  Hpbrcu_runtime.Counter.reset retired;
+  Hpbrcu_runtime.Counter.reset reclaimed;
+  Hpbrcu_runtime.Counter.reset abandoned;
   Hpbrcu_runtime.Counter.reset unreclaimed;
   Atomic.set uaf 0;
   Atomic.set poisoned_reads 0;
@@ -243,7 +246,7 @@ let reset_peak () = Hpbrcu_runtime.Counter.reset_peak unreclaimed
 
 (** [block ()] allocates a fresh lifecycle header for a node. *)
 let block ?recyclable () =
-  Atomic.incr allocated;
+  Hpbrcu_runtime.Counter.bump allocated;
   Block.make ?recyclable ()
 
 (** [retire b] marks [b] retired: it has been unlinked and its reclamation
@@ -251,7 +254,7 @@ let block ?recyclable () =
     {!reclaim}. *)
 let retire b =
   if Block.transition b ~from:Live ~to_:Retired then begin
-    Atomic.incr retired;
+    Hpbrcu_runtime.Counter.bump retired;
     Hpbrcu_runtime.Counter.incr unreclaimed;
     (* arg = unreclaimed count (the watermark curve), arg2 = block id (the
        retire→reclaim correlation edge).  Ids are replay-safe because
@@ -274,7 +277,7 @@ let retire b =
     detach the same region (e.g. NMTree chain pruning). *)
 let try_retire b =
   if Block.transition b ~from:Block.Live ~to_:Block.Retired then begin
-    Atomic.incr retired;
+    Hpbrcu_runtime.Counter.bump retired;
     Hpbrcu_runtime.Counter.incr unreclaimed;
     if Hpbrcu_runtime.Trace.enabled () then
       Hpbrcu_runtime.Trace.emit2 Hpbrcu_runtime.Trace.Retire
@@ -287,9 +290,13 @@ let try_retire b =
 (** [reclaim b] frees [b] in the simulation: any later access is a
     use-after-free. *)
 let reclaim b =
+  (* The stamp precedes the state CAS, so an access that loads [Reclaimed]
+     also sees it.  A losing (double) reclaim may stamp a block that is not
+     reclaimed; the stamp is read only once the state says [Reclaimed], and
+     the block's own reclaim writes it again first. *)
+  if Atomic.get poisoning then Block.poison b;
   if Block.transition b ~from:Retired ~to_:Reclaimed then begin
-    if Atomic.get poisoning then Block.poison b;
-    Atomic.incr reclaimed;
+    Hpbrcu_runtime.Counter.bump reclaimed;
     Hpbrcu_runtime.Counter.decr unreclaimed;
     Owner.on_reclaim (Block.owner b);
     if Hpbrcu_runtime.Trace.enabled () then
@@ -309,10 +316,9 @@ let reclaim b =
     leak-at-quiescence oracle's accounting (DESIGN.md §11) needs the two
     told apart. *)
 let abandon b =
-  if Block.transition b ~from:Live ~to_:Reclaimed then begin
-    if Atomic.get poisoning then Block.poison b;
-    Atomic.incr abandoned
-  end
+  if Atomic.get poisoning then Block.poison b;
+  if Block.transition b ~from:Live ~to_:Reclaimed then
+    Hpbrcu_runtime.Counter.bump abandoned
 
 (** [check_access b] — called by scheme-mediated reads before a node's
     fields may be used.  Detects access to reclaimed memory.  Blocks from a
@@ -321,11 +327,17 @@ let abandon b =
     the violation is additionally classified: a set poison stamp proves the
     read hit freed memory of a specific incarnation (the stamp encodes the
     version at free time and is cleared on reanimation). *)
-let check_access b =
-  if Block.is_reclaimed b && not (Block.recyclable b) then begin
+let[@inline never] reclaimed_access b =
+  if not (Block.recyclable b) then begin
     if Block.is_poisoned b then Atomic.incr poisoned_reads;
     if Atomic.get strict then raise (Use_after_free b) else Atomic.incr uaf
   end
+
+(* The fast path is one load of the header's state word and a compare;
+   everything a reclaimed block needs runs out of line. *)
+let[@inline] check_access b =
+  if Atomic.get (Block.state_cell b) = Block.reclaimed_code then
+    reclaimed_access b
 
 (** Raw counter for harness-side assertions. *)
 let current_unreclaimed () = Hpbrcu_runtime.Counter.get unreclaimed

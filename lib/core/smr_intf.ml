@@ -272,11 +272,13 @@ module type SCHEME = sig
   (** {1 Mediated memory accesses} *)
 
   val read :
-    handle -> shield -> ?src:Block.t -> hdr:('n -> Block.t) -> 'n Link.cell -> 'n Link.t
+    handle -> shield -> src:Block.t -> hdr:('n -> Block.t) -> 'n Link.cell -> 'n Link.t
   (** [read h s ~src ~hdr cell] loads a link during traversal.
       [src] is the block of the node owning [cell] (checked against
-      use-after-free); [hdr] projects the target node's block for
-      protection.  HP-family: ProtectFrom loop into [s].  BRCU-family:
+      use-after-free), or {!Block.none} for no check (a root pointer no
+      node owns, or a source the caller has already checked); [hdr]
+      projects the target node's block for protection.  HP-family:
+      ProtectFrom loop into [s].  BRCU-family:
       plain load, after polling for neutralization.  VBR: plain load, then
       era validation (may raise {!Restart}). *)
 

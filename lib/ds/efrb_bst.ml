@@ -101,10 +101,10 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
     X.flush s.h;
     X.unregister s.h
 
-  let scratch_read s ?src cell =
+  let scratch_read s ~src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    X.read s.h sh ?src ~hdr:blk cell
+    X.read s.h sh ~src ~hdr:blk cell
 
   let child_cell n key = if key < n.key then n.left else n.right
 
@@ -118,18 +118,15 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
       (* The old child's position: compare against both sides (keys of
          descriptors may equal the routing key). *)
       let l = Link.get parent.left in
-      match Link.target l with
-      | Some c when c == old_child -> Some (parent.left, l)
-      | _ -> (
-          let r = Link.get parent.right in
-          match Link.target r with
-          | Some c when c == old_child -> Some (parent.right, r)
-          | _ -> None)
+      if Link.points_to l old_child then Some (parent.left, l)
+      else
+        let r = Link.get parent.right in
+        if Link.points_to r old_child then Some (parent.right, r) else None
     in
     match cell with
     | None -> false
     | Some (cell, expected) ->
-        Link.cas cell ~expected ~desired:(Link.make (Some desired))
+        Link.cas cell ~expected ~desired:(Link.ptr desired)
 
   (* Unflagging must CAS against the *installed* update record: variant
      values compare physically under [Atomic.compare_and_set], so a
@@ -222,7 +219,7 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
 
   let init_cursor t s () =
     let l0 =
-      Option.get (Link.target (scratch_read s ~src:t.root.blk t.root.left))
+      Link.node_exn (scratch_read s ~src:t.root.blk t.root.left)
     in
     {
       gp = None;
@@ -239,9 +236,9 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
       let next =
         scratch_read s ~src:c.l.blk (child_cell c.l key)
       in
-      match Link.target next with
-      | None -> Fail (* torn read; retry *)
-      | Some nl ->
+      match next with
+      | Link.Null _ -> Fail (* torn read; retry *)
+      | Link.Ptr { node = nl; _ } ->
           Continue
             { gp = Some c.p; gpupdate = c.pupdate; p = c.l; pupdate; l = nl }
     end

@@ -19,18 +19,28 @@ module Pool = Hpbrcu_alloc.Pool
 module Link = Hpbrcu_core.Link
 open Hpbrcu_core.Smr_intf
 
+(** A list node.  [next] is field 0 and is accessed only through
+    {!next_cell}, which views the node as its own [Link.cell] (DESIGN.md
+    §9, "Two loads per hop"). *)
+type node = {
+  mutable next : node Link.t;
+  blk : Block.t;
+  mutable key : int;  (* mutable only for pool reuse (VBR) *)
+  mutable value : int;
+}
+
+external next_cell : node -> node Link.cell = "%identity"
+
+let blk n = n.blk
+
+(* Schemes that do not recycle never touch a list's pool, so their lists
+   share this one instead of each building an empty pool (a hash map makes
+   one list per bucket). *)
+let inert_pool : node Pool.t = Pool.create ()
+
 module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
   Ds_intf.MAP with type domain = X.domain = struct
   type domain = X.domain
-
-  type node = {
-    blk : Block.t;
-    mutable key : int;  (* mutable only for pool reuse (VBR) *)
-    mutable value : int;
-    next : node Link.cell;
-  }
-
-  let blk n = n.blk
 
   type t = {
     dom : X.domain;
@@ -42,8 +52,6 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
      (whose target is [cur]).  Keeping the loaded link (not just the
      target) gives CASes their physical-equality expected value. *)
   type cursor = { prev : node; pnext : node Link.t }
-
-  let cur_of c = Link.target c.pnext
 
   type session = {
     h : X.handle;
@@ -58,9 +66,8 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
   let create dom =
     {
       dom;
-      head =
-        { blk = Alloc.block (); key = min_int; value = 0; next = Link.cell None };
-      pool = Pool.create ();
+      head = { next = Link.null; blk = Alloc.block (); key = min_int; value = 0 };
+      pool = (if X.recycles then Pool.create () else inert_pool);
     }
 
   let session t =
@@ -91,7 +98,7 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
             Block.reanimate n.blk ~era:(X.current_era t.dom);
             n.key <- key;
             n.value <- value;
-            Link.set n.next Link.null;
+            Link.set (next_cell n) Link.null;
             Some n
         | Some n ->
             Pool.release t.pool n;
@@ -103,7 +110,7 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
     | None ->
         let b = Alloc.block ~recyclable:X.recycles () in
         Block.set_birth_era b ~era:(X.current_era t.dom);
-        { blk = b; key; value; next = Link.cell None }
+        { next = Link.null; blk = b; key; value }
 
   (* A node that was allocated but never published: recyclers take it back
      into the pool; everyone else must tell the allocator it was abandoned,
@@ -114,10 +121,10 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
 
   (* ---------------- mediated accesses ---------------- *)
 
-  let scratch_read s ?src cell =
+  let scratch_read s ~src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    X.read s.h sh ?src ~hdr:blk cell
+    X.read s.h sh ~src ~hdr:blk cell
 
   (* Read a node's key, then validate the access (order matters for VBR:
      the value is junk if the node was recycled meanwhile, and the
@@ -132,43 +139,44 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
   (* ListCursorProtector.protect: publish both cursor nodes. *)
   let protect_cursor (sh : X.shield array) c =
     X.protect sh.(0) (Some c.prev.blk);
-    X.protect sh.(1) (Option.map blk (cur_of c))
+    X.protect sh.(1) (Link.map_target blk c.pnext)
 
   (* ListCursor.validate: the node the resumed traversal will dereference
      must not be logically deleted (checking the mark suffices for
      revalidation, §3.3).  Cursor nodes are checkpoint-protected, hence
      unreclaimed, so bare loads are safe here. *)
   let validate_cursor c =
-    match cur_of c with
-    | None ->
+    match c.pnext with
+    | Link.Null _ ->
         Alloc.check_access c.prev.blk;
-        not (Link.is_marked (Link.get c.prev.next))
-    | Some cur ->
+        not (Link.is_marked (Link.get (next_cell c.prev)))
+    | Link.Ptr { node = cur; _ } ->
         Alloc.check_access cur.blk;
-        not (Link.is_marked (Link.get cur.next))
+        not (Link.is_marked (Link.get (next_cell cur)))
 
-  let init_cursor t s () = { prev = t.head; pnext = scratch_read s t.head.next }
+  let init_cursor t s () =
+    { prev = t.head; pnext = scratch_read s ~src:Block.none (next_cell t.head) }
 
   (* One traversal step (Algorithm 8's step closure). *)
   let step t s key c =
-    match cur_of c with
-    | None -> Finish (c, false)  (* reached the end: key absent *)
-    | Some cur -> (
-        let next = scratch_read s ~src:cur.blk cur.next in
+    match c.pnext with
+    | Link.Null _ -> Finish (c, false)  (* reached the end: key absent *)
+    | Link.Ptr { node = cur; _ } -> (
+        let next = scratch_read s ~src:cur.blk (next_cell cur) in
         if Link.is_marked next then begin
           (* cur is logically deleted: help unlink it.  The unlink + retire
              pair is abort-rollback-unsafe, so it runs masked on outliving
              protections (Algorithm 8 lines 23-27). *)
           X.protect s.mask0 (Some c.prev.blk);
           X.protect s.mask1 (Some cur.blk);
-          let desired = Link.make (Link.target next) in
+          let desired = Link.untagged next in
           let ok =
             X.mask s.h (fun () ->
-                if Link.cas c.prev.next ~expected:c.pnext ~desired then begin
+                if Link.cas (next_cell c.prev) ~expected:c.pnext ~desired then begin
                   X.retire s.h cur.blk
-                    ~patch:(match Link.target next with
-                           | None -> []
-                           | Some nx -> [ nx.blk ])
+                    ~patch:(match next with
+                           | Link.Null _ -> []
+                           | Link.Ptr { node = nx; _ } -> [ nx.blk ])
                     ~free:(fun () -> if X.recycles then Pool.release t.pool cur);
                   true
                 end
@@ -206,9 +214,9 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
             false
           end
           else begin
-            Link.set n.next (Link.make (cur_of c));
-            let desired = Link.make (Some n) in
-            if Link.cas c.prev.next ~expected:c.pnext ~desired then true
+            Link.set (next_cell n) (Link.untagged c.pnext);
+            let desired = Link.ptr n in
+            if Link.cas (next_cell c.prev) ~expected:c.pnext ~desired then true
             else go ()
           end
         in
@@ -220,21 +228,22 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
           let c, found = search t s key in
           if not found then false
           else
-            let cur = Option.get (cur_of c) in
-            let next = scratch_read s ~src:cur.blk cur.next in
+            let cur = Link.node_exn c.pnext in
+            let next = scratch_read s ~src:cur.blk (next_cell cur) in
             if Link.is_marked next then go ()  (* lost the race *)
             else if
               (* Logical deletion: mark cur's next link. *)
-              Link.cas cur.next ~expected:next ~desired:(Link.with_tag next 1)
+              Link.cas (next_cell cur) ~expected:next
+                ~desired:(Link.with_tag next 1)
             then begin
               (* Physical deletion; on failure a helping traversal will
                  finish the job (and retire the node). *)
-              let desired = Link.make (Link.target next) in
-              if Link.cas c.prev.next ~expected:c.pnext ~desired then
+              let desired = Link.untagged next in
+              if Link.cas (next_cell c.prev) ~expected:c.pnext ~desired then
                 X.retire s.h cur.blk
-                  ~patch:(match Link.target next with
-                         | None -> []
-                         | Some nx -> [ nx.blk ])
+                  ~patch:(match next with
+                         | Link.Null _ -> []
+                         | Link.Ptr { node = nx; _ } -> [ nx.blk ])
                   ~free:(fun () -> if X.recycles then Pool.release t.pool cur)
               else ignore (search t s key : cursor * bool);
               true

@@ -22,26 +22,34 @@ module Link = Hpbrcu_core.Link
 module Sched = Hpbrcu_runtime.Sched
 open Hpbrcu_core.Smr_intf
 
+(** A list node.  [next] is field 0 and is accessed only through
+    {!next_cell}, which views the node as its own [Link.cell] (DESIGN.md
+    §9, "Two loads per hop"). *)
+type node = {
+  mutable next : node Link.t;
+  blk : Block.t;
+  mutable key : int;
+  mutable value : int;
+  lock : bool Atomic.t;
+  marked : bool Atomic.t;  (* logical deletion flag (not a link tag) *)
+}
+
+external next_cell : node -> node Link.cell = "%identity"
+
+let blk n = n.blk
+
+(* Schemes that do not recycle never touch a list's pool, so their lists
+   share this one instead of each building an empty pool (a hash map makes
+   one list per bucket). *)
+let inert_pool : node Pool.t = Pool.create ()
+
 module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
   Ds_intf.MAP with type domain = X.domain = struct
   type domain = X.domain
 
-  type node = {
-    blk : Block.t;
-    mutable key : int;
-    mutable value : int;
-    next : node Link.cell;
-    lock : bool Atomic.t;
-    marked : bool Atomic.t;  (* logical deletion flag (not a link tag) *)
-  }
-
-  let blk n = n.blk
-
   type t = { dom : X.domain; head : node; pool : node Pool.t }
 
   type cursor = { prev : node; pnext : node Link.t }
-
-  let cur_of c = Link.target c.pnext
 
   type session = {
     h : X.handle;
@@ -53,15 +61,20 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
 
   let mk_node ?(recyclable = false) key value =
     {
+      next = Link.null;
       blk = Alloc.block ~recyclable ();
       key;
       value;
-      next = Link.cell None;
       lock = Atomic.make false;
       marked = Atomic.make false;
     }
 
-  let create dom = { dom; head = mk_node min_int 0; pool = Pool.create () }
+  let create dom =
+    {
+      dom;
+      head = mk_node min_int 0;
+      pool = (if X.recycles then Pool.create () else inert_pool);
+    }
 
   let session t =
     let h = X.register t.dom in
@@ -86,7 +99,7 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
             Block.reanimate n.blk ~era:(X.current_era t.dom);
             n.key <- key;
             n.value <- value;
-            Link.set n.next Link.null;
+            Link.set (next_cell n) Link.null;
             Atomic.set n.lock false;
             Atomic.set n.marked false;
             Some n
@@ -107,10 +120,10 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
   let discard t n =
     if X.recycles then Pool.release t.pool n else Alloc.abandon n.blk
 
-  let scratch_read s ?src cell =
+  let scratch_read s ~src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    X.read s.h sh ?src ~hdr:blk cell
+    X.read s.h sh ~src ~hdr:blk cell
 
   let key_of s n =
     let k = n.key in
@@ -139,24 +152,26 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
 
   let protect_cursor (sh : X.shield array) c =
     X.protect sh.(0) (Some c.prev.blk);
-    X.protect sh.(1) (Option.map blk (cur_of c))
+    X.protect sh.(1) (Link.map_target blk c.pnext)
 
   (* Resuming follows prev.next: prev must not be logically deleted. *)
   let validate_cursor c =
     Alloc.check_access c.prev.blk;
     not (Atomic.get c.prev.marked)
 
-  let init_cursor t s () = { prev = t.head; pnext = scratch_read s t.head.next }
+  let init_cursor t s () =
+    { prev = t.head; pnext = scratch_read s ~src:Block.none (next_cell t.head) }
 
   (* Pure read steps: walk (possibly across marked nodes) until key ≥ k.
      No helping — physical removal is the remover's job, under locks. *)
   let step s key c =
-    match cur_of c with
-    | None -> Finish (c, false)
-    | Some cur ->
+    match c.pnext with
+    | Link.Null _ -> Finish (c, false)
+    | Link.Ptr { node = cur; _ } ->
         let k = key_of s cur in
         if k < key then
-          Continue { prev = cur; pnext = scratch_read s ~src:cur.blk cur.next }
+          Continue
+            { prev = cur; pnext = scratch_read s ~src:cur.blk (next_cell cur) }
         else Finish (c, k = key && not (Atomic.get cur.marked))
 
   let rec search t s key =
@@ -170,7 +185,7 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
   (* Heller et al.'s two-node validation, under locks. *)
   let validate_locked prev cur_opt pnext =
     (not (Atomic.get prev.marked))
-    && Link.get prev.next == pnext
+    && Link.get (next_cell prev) == pnext
     && match cur_opt with Some c -> not (Atomic.get c.marked) | None -> true
 
   (* ---------------- operations ---------------- *)
@@ -191,13 +206,13 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
               with_locked c.prev (fun () ->
                   if not (validate_locked c.prev None c.pnext) then `Retry
                   else
-                    match cur_of c with
-                    | Some cur when cur.key = key && not (Atomic.get cur.marked)
-                      ->
+                    match c.pnext with
+                    | Link.Ptr { node = cur; _ }
+                      when cur.key = key && not (Atomic.get cur.marked) ->
                         `Present
                     | _ ->
-                        Link.set n.next (Link.make (cur_of c));
-                        Link.set c.prev.next (Link.make (Some n));
+                        Link.set (next_cell n) (Link.untagged c.pnext);
+                        Link.set (next_cell c.prev) (Link.ptr n);
                         `Inserted)
             in
             match outcome with
@@ -215,23 +230,23 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
           let c, found = search t s key in
           if not found then false
           else
-            let cur = Option.get (cur_of c) in
+            let cur = Link.node_exn c.pnext in
             let outcome =
               with_locked2 c.prev cur (fun () ->
                   if not (validate_locked c.prev (Some cur) c.pnext) then `Retry
                   else begin
                     (* Logical then physical deletion, both under locks. *)
                     Atomic.set cur.marked true;
-                    Link.set c.prev.next (Link.get cur.next);
+                    Link.set (next_cell c.prev) (Link.get (next_cell cur));
                     `Removed
                   end)
             in
             match outcome with
             | `Removed ->
                 X.retire s.h cur.blk
-                  ~patch:(match Link.target (Link.get cur.next) with
-                         | None -> []
-                         | Some nx -> [ nx.blk ])
+                  ~patch:(match Link.get (next_cell cur) with
+                         | Link.Null _ -> []
+                         | Link.Ptr { node = nx; _ } -> [ nx.blk ])
                   ~free:(fun () -> if X.recycles then Pool.release t.pool cur);
                 true
             | `Retry -> go ()

@@ -153,10 +153,10 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
       right = Link.cell (Some right);
     }
 
-  let scratch_read s ?src cell =
+  let scratch_read s ~src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    X.read s.h sh ?src ~hdr:blk cell
+    X.read s.h sh ~src ~hdr:blk cell
 
   let key_of s n =
     let k = n.key in
@@ -169,10 +169,10 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
 
   let protect_cursor (sh : X.shield array) c =
     X.protect sh.(0) (Some c.anc.blk);
-    X.protect sh.(1) (Option.map blk (Link.target c.alink));
+    X.protect sh.(1) (Link.map_target blk c.alink);
     X.protect sh.(2) (Some c.par.blk);
     X.protect sh.(3) (Some c.cur.blk);
-    X.protect sh.(4) (Option.map blk (Link.target c.plink))
+    X.protect sh.(4) (Link.map_target blk c.plink)
 
   (* Revalidation (§3.3): resuming descends from [cur]; conservative and
      cheap: the parent must still hold a clean edge to cur.  (A leaf cursor
@@ -184,32 +184,30 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
       Alloc.check_access c.par.blk;
       let ok cell =
         let lk = Link.get cell in
-        match Link.target lk with
-        | Some n -> n == c.cur && Link.tag lk = 0
-        | None -> false
+        Link.points_to lk c.cur && Link.tag lk = 0
       in
       ok c.par.left || ok c.par.right
     end
 
   let init_cursor t s () =
-    let alink = scratch_read s t.root.left in
-    let su = Option.get (Link.target alink) in
+    let alink = scratch_read s ~src:Block.none t.root.left in
+    let su = Link.node_exn alink in
     let plink = scratch_read s ~src:su.blk su.left in
     {
       anc = t.root;
       alink;
       par = su;
       plink;
-      cur = Option.get (Link.target plink);
+      cur = Link.node_exn plink;
     }
 
   let step _t s key c =
     if c.cur.leaf then Finish (c, key_of s c.cur = key)
     else begin
       let next = scratch_read s ~src:c.cur.blk (child_cell c.cur key) in
-      match Link.target next with
-      | None -> Fail (* torn read of a recycled node (VBR): retry *)
-      | Some nx ->
+      match next with
+      | Link.Null _ -> Fail (* torn read of a recycled node (VBR): retry *)
+      | Link.Ptr { node = nx; _ } ->
           (* Advance ancestor when the edge we just crossed was untagged. *)
           let anc, alink =
             if Link.tag c.plink land tag_bit = 0 then (c.par, c.plink)
@@ -285,7 +283,7 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
     | Some keep ->
         X.mask s.h (fun () ->
             let desired =
-              Link.make ~tag:(Link.tag slink land flag_bit) (Some keep)
+              Link.ptr ~tag:(Link.tag slink land flag_bit) keep
             in
             if Link.cas (child_cell c.anc key) ~expected:c.alink ~desired then begin
               (match Link.target c.alink with
@@ -320,7 +318,7 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
               else alloc_internal t key ~left:sib ~right:leaf
             in
             let cell = child_cell c.par key in
-            if Link.cas cell ~expected:c.plink ~desired:(Link.make (Some internal))
+            if Link.cas cell ~expected:c.plink ~desired:(Link.ptr internal)
             then true
             else begin
               (* Lost the race; the internal wrapper is unpublished (the

@@ -48,9 +48,9 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
            everyone else gets the read-only search. *)
   }
 
-  (* A completed level of the search: predecessor, the loaded link used as
-     CAS expected value, and the successor observed. *)
-  type level_rec = { lpred : node; llink : node Link.t; lsucc : node option }
+  (* A completed level of the search: predecessor and the loaded link used
+     as CAS expected value, whose target is the successor observed. *)
+  type level_rec = { lpred : node; llink : node Link.t }
 
   (* Search cursor: current level walk state plus the completed levels
      below... above (head of [levels] = most recently completed = lowest
@@ -146,10 +146,10 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
     if X.recycles then Pool.release t.pools.(height n) n
     else Alloc.abandon n.blk
 
-  let scratch_read s ?src cell =
+  let scratch_read s ~src cell =
     let sh = s.scratch.(s.rot) in
     s.rot <- (s.rot + 1) mod Array.length s.scratch;
-    X.read s.h sh ?src ~hdr:blk cell
+    X.read s.h sh ~src ~hdr:blk cell
 
   let key_of s n =
     let k = n.key in
@@ -159,12 +159,12 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
   (* Checkpoint protection: every node the cursor can still reach. *)
   let protect_cursor (sh : X.shield array) c =
     X.protect sh.(0) (Some c.pred.blk);
-    X.protect sh.(1) (Option.map blk (Link.target c.plink));
+    X.protect sh.(1) (Link.map_target blk c.plink);
     List.iteri
       (fun i lr ->
         if (2 * i) + 3 < Array.length sh then begin
           X.protect sh.((2 * i) + 2) (Some lr.lpred.blk);
-          X.protect sh.((2 * i) + 3) (Option.map blk lr.lsucc)
+          X.protect sh.((2 * i) + 3) (Link.map_target blk lr.llink)
         end)
       c.levels
 
@@ -177,7 +177,7 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
   let init_cursor t s () =
     let lvl = max_level - 1 in
     X.protect s.pred_sh (Some t.head.blk);
-    { lvl; pred = t.head; plink = scratch_read s t.head.next.(lvl); levels = [] }
+    { lvl; pred = t.head; plink = scratch_read s ~src:Block.none t.head.next.(lvl); levels = [] }
 
   (* One step of the search.  [help] unlinks marked nodes (never retires —
      the remover does).  Completing a level records (pred, link, succ),
@@ -190,33 +190,32 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
          read-only search has no write phase and may pass. *)
       if help && Link.is_marked c.plink then Fail
       else begin
-      let lsucc = Link.target c.plink in
       let i = max_level - 1 - c.lvl in
       if 2 * i < Array.length s.level_sh then begin
         X.protect s.level_sh.(2 * i) (Some c.pred.blk);
-        X.protect s.level_sh.((2 * i) + 1) (Option.map blk lsucc)
+        X.protect s.level_sh.((2 * i) + 1) (Link.map_target blk c.plink)
       end;
-      let levels = { lpred = c.pred; llink = c.plink; lsucc } :: c.levels in
+      let levels = { lpred = c.pred; llink = c.plink } :: c.levels in
       if c.lvl = 0 then begin
         let found =
-          match lsucc with
-          | Some n ->
+          match c.plink with
+          | Link.Ptr { node = n; _ } ->
               let k = key_of s n in
               k = key
-          | None -> false
+          | Link.Null _ -> false
         in
         Finish ({ c with levels }, found)
       end
       else begin
         let lvl = c.lvl - 1 in
         Continue
-          { lvl; pred = c.pred; plink = scratch_read s c.pred.next.(lvl); levels }
+          { lvl; pred = c.pred; plink = scratch_read s ~src:Block.none c.pred.next.(lvl); levels }
       end
       end
     in
     ignore t;
-    match Link.target c.plink with
-    | Some curr -> (
+    match c.plink with
+    | Link.Ptr { node = curr; _ } -> (
         let succ = scratch_read s ~src:curr.blk curr.next.(c.lvl) in
         if Link.is_marked succ then
           if help then begin
@@ -224,12 +223,12 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
                over a marked link would resurrect a deleted level. *)
             if Link.is_marked c.plink then Fail
             else
-              let desired = Link.make (Link.target succ) in
+              let desired = Link.untagged succ in
               if Link.cas c.pred.next.(c.lvl) ~expected:c.plink ~desired then
                 Continue { c with plink = desired }
               else Fail
           end
-          else Continue { c with plink = Link.make (Link.target succ) }
+          else Continue { c with plink = Link.untagged succ }
         else
           let k = key_of s curr in
           if k < key then begin
@@ -237,7 +236,7 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
             Continue { c with pred = curr; plink = succ }
           end
           else complete_level c)
-    | None -> complete_level c
+    | Link.Null _ -> complete_level c
 
   (* Full search: returns the completed level records (index 0 = level 0)
      and whether the key was found at level 0. *)
@@ -267,11 +266,11 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
           else begin
             (* Prepare the tower: level l points at the observed succ. *)
             for l = 0 to h - 1 do
-              Link.set n.next.(l) (Link.make levels.(l).lsucc)
+              Link.set n.next.(l) (Link.untagged levels.(l).llink)
             done;
             (* Link level 0 (the linearization point). *)
             let l0 = levels.(0) in
-            if not (Link.cas l0.lpred.next.(0) ~expected:l0.llink ~desired:(Link.make (Some n)))
+            if not (Link.cas l0.lpred.next.(0) ~expected:l0.llink ~desired:(Link.ptr n))
             then attempt ()
             else begin
               (* Link the upper levels, refreshing the search on failure. *)
@@ -286,15 +285,18 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
                 let mine = Link.get n.next.(!l) in
                 if Link.is_marked mine then give_up := true
                 else begin
-                  if not (Link.same mine (Link.make lr.lsucc)) then
+                  if
+                    not
+                      (Link.tag mine = 0 && Link.same_target mine lr.llink)
+                  then
                     ignore
                       (Link.cas n.next.(!l) ~expected:mine
-                         ~desired:(Link.make lr.lsucc)
+                         ~desired:(Link.untagged lr.llink)
                         : bool);
                   if Link.is_marked (Link.get n.next.(!l)) then give_up := true
                   else if
                     Link.cas lr.lpred.next.(!l) ~expected:lr.llink
-                      ~desired:(Link.make (Some n))
+                      ~desired:(Link.ptr n)
                   then incr l
                   else begin
                     (* Stale pred at this level: re-search. *)
@@ -315,7 +317,7 @@ module Make (X : Hpbrcu_core.Smr_intf.SCHEME) :
           let levels, found = search t s key ~help:true in
           if not found then false
           else
-            let victim = Option.get levels.(0).lsucc in
+            let victim = Link.node_exn levels.(0).llink in
             let vh = height victim in
             (* Mark the upper levels top-down. *)
             for l = vh - 1 downto 1 do

@@ -90,6 +90,11 @@ let incr (t : t) =
 
 let decr (t : t) = ignore (Atomic.fetch_and_add t.(lane_ix ()).value (-1))
 
+(** [bump t] increments the caller's lane {e without} peak tracking: the
+    values-only use, for a counter whose peak nobody reads (the
+    allocator's event totals).  [peak] of such a counter stays 0. *)
+let[@inline] bump (t : t) = Atomic.incr t.(lane_ix ()).value
+
 let add (t : t) n =
   let l = t.(lane_ix ()) in
   let v = Atomic.fetch_and_add l.value n + n in

@@ -12,6 +12,7 @@
     closure per retire. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
+module Block = Hpbrcu_alloc.Block
 open Hpbrcu_core
 module Dom = Smr_intf.Dom
 module E = Epoch_core
@@ -75,10 +76,10 @@ module Impl : Smr_intf.SCHEME = struct
   let crit = E.crit
   let mask _ body = body ()
 
-  let read h () ?src ~hdr:_ cell =
+  let read h () ~src ~hdr:_ cell =
     assert (E.pinned h);
     Hpbrcu_runtime.Sched.yield ();
-    Option.iter Alloc.check_access src;
+    if src != Block.none then Alloc.check_access src;
     Link.get cell
 
   let deref _ blk = Alloc.check_access blk

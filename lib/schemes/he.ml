@@ -202,9 +202,9 @@ module Impl : Smr_intf.SCHEME = struct
   (* Era-validated read: reserve the era, load, and retry until the era is
      stable across the load (then everything reachable at the reservation
      is covered by it). *)
-  let read _h s ?src ~hdr:_ cell =
+  let read _h s ~src ~hdr:_ cell =
     Sched.yield ();
-    Option.iter Alloc.check_access src;
+    if src != Block.none then Alloc.check_access src;
     let slot = s.sd.slots.Slots.slots.(s.slot) in
     let rec loop reserved =
       let l = Link.get cell in

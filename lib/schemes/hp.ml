@@ -16,6 +16,7 @@
     list and scan counters all per-domain. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
+module Block = Hpbrcu_alloc.Block
 open Hpbrcu_core
 module Dom = Smr_intf.Dom
 module Core = Hp_core
@@ -83,13 +84,13 @@ module Impl : Smr_intf.SCHEME = struct
      equality of the link record means the cell is unchanged, hence the
      target was still reachable from the source after the protection was
      visible. *)
-  let read _h s ?src ~hdr cell =
+  let read _h s ~src ~hdr cell =
     Hpbrcu_runtime.Sched.yield ();
-    Option.iter Alloc.check_access src;
+    if src != Block.none then Alloc.check_access src;
     let rec loop l =
-      (match Link.target l with
-      | None -> Core.protect s None
-      | Some n -> Core.protect s (Some (hdr n)));
+      (match l with
+      | Link.Null _ -> Core.protect s None
+      | Link.Ptr { node; _ } -> Core.protect s (Some (hdr node)));
       (* Atomic store above is SC: fence(SC) of line 7. *)
       let l' = Link.get cell in
       if l' == l then l

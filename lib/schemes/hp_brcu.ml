@@ -25,6 +25,7 @@
     [double_buffering] off. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
+module Block = Hpbrcu_alloc.Block
 module Sched = Hpbrcu_runtime.Sched
 module Stats = Hpbrcu_runtime.Stats
 module Trace = Hpbrcu_runtime.Trace
@@ -166,14 +167,21 @@ end = struct
   (* Coarse protection inside critical sections; the poll is the
      neutralization delivery point (a pending signal rolls the critical
      section back before this read can observe freed memory). *)
-  let read h _s ?src ~hdr:_ cell =
+  let read h _s ~src ~hdr:_ cell =
     Sched.yield ();
     B.poll h.bh;
-    Option.iter Alloc.check_access src;
+    if src != Block.none then Alloc.check_access src;
     Link.get cell
 
+  (* On domains [read] is the step's one delivery point: [deref] polls only
+     in the simulator, as [protect] does.  That is safe because a
+     reclaimer on domains advances only after every reader has acked the
+     signal or is out of its section ([No_ack] vetoes the advance), so a
+     signal that lands after [read]'s poll is acked at the next one: the
+     rollback comes one node later and the reader never touches memory
+     freed under it. *)
   let deref h blk =
-    B.poll h.bh;
+    if Sched.fiber_mode () then B.poll h.bh;
     Alloc.check_access blk
 
   (* Two-step retirement (Algorithm 4) through BRCU's Defer, intrusive. *)

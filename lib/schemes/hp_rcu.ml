@@ -20,6 +20,7 @@
     (intrusive two-step retirement, no closure per retire). *)
 
 module Alloc = Hpbrcu_alloc.Alloc
+module Block = Hpbrcu_alloc.Block
 module Sched = Hpbrcu_runtime.Sched
 open Hpbrcu_core
 module Dom = Smr_intf.Dom
@@ -106,9 +107,9 @@ module Impl : Smr_intf.SCHEME = struct
   (* Inside a critical section links are protected coarsely; no per-node
      work beyond the use-after-free check (and the fiber-mode interleaving
      point). *)
-  let read _h _s ?src ~hdr:_ cell =
+  let read _h _s ~src ~hdr:_ cell =
     Sched.yield ();
-    Option.iter Alloc.check_access src;
+    if src != Block.none then Alloc.check_access src;
     Link.get cell
 
   let deref _ blk = Alloc.check_access blk

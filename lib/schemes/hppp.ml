@@ -26,6 +26,7 @@
     [published_patches] list. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
+module Block = Hpbrcu_alloc.Block
 open Hpbrcu_core
 module Dom = Smr_intf.Dom
 module Core = Hp_core
@@ -93,22 +94,15 @@ module Impl : Smr_intf.SCHEME = struct
      became marked (tag change) stays valid — the HP++ capability of
      traversing out of logically-deleted nodes.  If the node was since
      retired, its successor is held by the retirer's patch. *)
-  let read _h s ?src ~hdr cell =
+  let read _h s ~src ~hdr cell =
     Hpbrcu_runtime.Sched.yield ();
-    Option.iter Alloc.check_access src;
+    if src != Block.none then Alloc.check_access src;
     let rec loop l =
-      (match Link.target l with
-      | None -> Core.protect s None
-      | Some n -> Core.protect s (Some (hdr n)));
+      (match l with
+      | Link.Null _ -> Core.protect s None
+      | Link.Ptr { node; _ } -> Core.protect s (Some (hdr node)));
       let l' = Link.get cell in
-      if
-        l' == l
-        ||
-        match (Link.target l', Link.target l) with
-        | None, None -> true
-        | Some a, Some b -> a == b
-        | _ -> false
-      then l'
+      if l' == l || Link.same_target l' l then l'
       else begin
         Hpbrcu_runtime.Sched.yield ();
         loop l'

@@ -236,9 +236,9 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* Each read widens the reservation to the current era before the load —
      the per-read "tag check" of 2GEIBR. *)
-  let read h () ?src ~hdr:_ cell =
+  let read h () ~src ~hdr:_ cell =
     Sched.yield ();
-    Option.iter Alloc.check_access src;
+    if src != Block.none then Alloc.check_access src;
     let e = Atomic.get h.d.era in
     if Atomic.get h.l.upper < e then Atomic.set h.l.upper e;
     Link.get cell

@@ -30,6 +30,7 @@
     another. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
+module Block = Hpbrcu_alloc.Block
 module Sched = Hpbrcu_runtime.Sched
 module Signal = Hpbrcu_runtime.Signal
 module Stats = Hpbrcu_runtime.Stats
@@ -181,10 +182,10 @@ module Impl : Smr_intf.SCHEME = struct
     Atomic.set l.status st_out;
     Fun.protect ~finally:(fun () -> Atomic.set l.status saved) body
 
-  let read h _s ?src ~hdr:_ cell =
+  let read h _s ~src ~hdr:_ cell =
     Sched.yield ();
     poll h;
-    Option.iter Alloc.check_access src;
+    if src != Block.none then Alloc.check_access src;
     Link.get cell
 
   let deref h blk =

@@ -23,6 +23,7 @@
     ejection signals are routed by domain id. *)
 
 module Alloc = Hpbrcu_alloc.Alloc
+module Block = Hpbrcu_alloc.Block
 module Sched = Hpbrcu_runtime.Sched
 module Signal = Hpbrcu_runtime.Signal
 module Stats = Hpbrcu_runtime.Stats
@@ -206,14 +207,14 @@ module Impl : Smr_intf.SCHEME = struct
 
   (* Per-node protection (no validation needed while pinned), plus the
      ejection poll. *)
-  let read h s ?src ~hdr cell =
+  let read h s ~src ~hdr cell =
     Sched.yield ();
     poll h;
-    Option.iter Alloc.check_access src;
+    if src != Block.none then Alloc.check_access src;
     let l = Link.get cell in
-    (match Link.target l with
-    | None -> HPC.protect s None
-    | Some n -> HPC.protect s (Some (hdr n)));
+    (match l with
+    | Link.Null _ -> HPC.protect s None
+    | Link.Ptr { node; _ } -> HPC.protect s (Some (hdr node)));
     l
 
   let deref h blk =

@@ -117,15 +117,16 @@ module Impl : Smr_intf.SCHEME = struct
   let validate_block h b =
     if Block.version b > 0 && Block.birth_era b > h.start_era then raise Restart
 
-  let read h () ?src ~hdr cell =
+  let read h () ~src ~hdr cell =
     Sched.yield ();
-    (match src with
-    | None -> ()
-    | Some b ->
-        Alloc.check_access b;
-        validate_block h b);
+    if src != Block.none then begin
+      Alloc.check_access src;
+      validate_block h src
+    end;
     let l = Link.get cell in
-    (match Link.target l with Some n -> validate_block h (hdr n) | None -> ());
+    (match l with
+    | Link.Ptr { node; _ } -> validate_block h (hdr node)
+    | Link.Null _ -> ());
     l
 
   let deref h blk =

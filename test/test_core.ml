@@ -38,6 +38,112 @@ let test_link_same () =
     (Link.same l1 (Link.make ~tag:2 (Some (ref 1))));
   Alcotest.(check bool) "null same" true (Link.same Link.null (Link.make None))
 
+let test_link_fresh () =
+  (* Every constructor allocates, so a stored link is never physically
+     equal to one stored earlier (the ABA argument in link.ml). *)
+  let l = Link.ptr (ref 0) in
+  Alcotest.(check bool) "make None fresh" true (Link.make None != Link.make None);
+  Alcotest.(check bool) "with_tag of null fresh" true
+    (Link.with_tag Link.null 0 != Link.null);
+  Alcotest.(check bool) "untagged fresh" true (Link.untagged l != l);
+  Alcotest.(check bool) "untagged keeps target" true
+    (Link.same_target (Link.untagged (Link.with_tag l 1)) l)
+
+(* ---------------- %identity views (DESIGN.md §9) ----------------
+
+   Each view treats a record as an [Atomic.t], which is sound only while
+   the viewed field is field 0.  A write through the view must land in the
+   field, a field write must be visible through the view, CAS must succeed
+   and fail by identity, and no other field may be touched.  Moving the
+   field away from position 0 fails these checks. *)
+
+let check_link_view (type n) ~(make : int -> n) ~(cell : n -> n Link.cell)
+    ~(get : n -> n Link.t) ~(set : n -> n Link.t -> unit) ~(key : n -> int) () =
+  let n = make 7 and m = make 8 in
+  let l1 = Link.ptr m in
+  Link.set (cell n) l1;
+  Alcotest.(check bool) "view write seen in field" true (get n == l1);
+  let l2 = Link.ptr ~tag:1 m in
+  set n l2;
+  Alcotest.(check bool) "field write seen through view" true
+    (Link.get (cell n) == l2);
+  Alcotest.(check bool) "cas fails on an equal but distinct link" false
+    (Link.cas (cell n) ~expected:(Link.ptr ~tag:1 m) ~desired:l1);
+  Alcotest.(check bool) "failed cas leaves the field" true (get n == l2);
+  Alcotest.(check bool) "cas succeeds on the stored link" true
+    (Link.cas (cell n) ~expected:l2 ~desired:l1);
+  Alcotest.(check bool) "cas result in field" true (get n == l1);
+  Alcotest.(check int) "key untouched" 7 (key n);
+  Alcotest.(check int) "target key untouched" 8 (key m)
+
+let test_view_harris =
+  let module H = Hpbrcu_ds.Harris_list in
+  check_link_view
+    ~make:(fun k -> H.make_node (Alloc.block ()) k 0)
+    ~cell:H.next_cell
+    ~get:(fun n -> n.H.next)
+    ~set:(fun n l -> n.H.next <- l)
+    ~key:(fun n -> n.H.key)
+
+let test_view_hm =
+  let module H = Hpbrcu_ds.Hm_list in
+  check_link_view
+    ~make:(fun key -> { H.next = Link.null; blk = Alloc.block (); key; value = 0 })
+    ~cell:H.next_cell
+    ~get:(fun n -> n.H.next)
+    ~set:(fun n l -> n.H.next <- l)
+    ~key:(fun n -> n.H.key)
+
+let test_view_lazy =
+  let module L = Hpbrcu_ds.Lazy_list in
+  check_link_view
+    ~make:(fun key ->
+      {
+        L.next = Link.null;
+        blk = Alloc.block ();
+        key;
+        value = 0;
+        lock = Atomic.make false;
+        marked = Atomic.make false;
+      })
+    ~cell:L.next_cell
+    ~get:(fun n -> n.L.next)
+    ~set:(fun n l -> n.L.next <- l)
+    ~key:(fun n -> n.L.key)
+
+let test_view_block_state () =
+  let module Block = Hpbrcu_alloc.Block in
+  Alloc.reset ();
+  let b = Alloc.block () in
+  let id = Block.id b in
+  let c = Block.state_cell b in
+  Atomic.set c (Block.state_to_int Block.Retired);
+  Alcotest.(check int) "view write seen in field" 1 b.Block.state;
+  b.Block.state <- Block.state_to_int Block.Live;
+  Alcotest.(check bool) "field write seen through view" true (Block.is_live b);
+  Alcotest.(check bool) "cas fails on another state" false
+    (Atomic.compare_and_set c 1 2);
+  Alcotest.(check bool) "cas succeeds on the stored state" true
+    (Atomic.compare_and_set c 0 2);
+  Alcotest.(check bool) "cas result in field" true
+    (b.Block.state = Block.reclaimed_code);
+  Alcotest.(check int) "id untouched" id (Block.id b);
+  Alcotest.(check int) "version untouched" 0 (Block.version b);
+  Alcotest.(check int) "retire era untouched" (-1) (Block.retire_era b)
+
+(* A fresh null-next HHSList node with its block header: 4-field node,
+   8-field header, the header's three [Atomic.t] boxes (version, birth
+   and retire eras), and the shared null link.  A standalone link cell or
+   a boxed header word shows here as 2 more words. *)
+let hhs_node_words = 22
+
+let test_hhs_node_footprint () =
+  let module H = Hpbrcu_ds.Harris_list in
+  Alloc.reset ();
+  let n = H.make_node (Alloc.block ()) 1 1 in
+  Alcotest.(check int) "reachable words" hhs_node_words
+    (Obj.reachable_words (Obj.repr n))
+
 let test_retired_batch () =
   Alloc.reset ();
   let t = Retired.create () in
@@ -141,6 +247,15 @@ let () =
           Alcotest.test_case "basics" `Quick test_link_basics;
           Alcotest.test_case "cas-physical" `Quick test_link_cas_physical;
           Alcotest.test_case "same" `Quick test_link_same;
+          Alcotest.test_case "fresh" `Quick test_link_fresh;
+        ] );
+      ( "layout",
+        [
+          Alcotest.test_case "harris next view" `Quick test_view_harris;
+          Alcotest.test_case "hm next view" `Quick test_view_hm;
+          Alcotest.test_case "lazy next view" `Quick test_view_lazy;
+          Alcotest.test_case "block state view" `Quick test_view_block_state;
+          Alcotest.test_case "hhs node footprint" `Quick test_hhs_node_footprint;
         ] );
       ( "retired",
         [

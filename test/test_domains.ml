@@ -317,6 +317,58 @@ let test_fiber_only_msg () =
     (Invalid_argument "x: y is fiber-only (--mode domains given); z")
     (fun () -> W.Spec.require_fibers ~who:"x" ~what:"y" ~alternative:"z" `Domains)
 
+(* ------------------------------------------------------------------ *)
+(* Lifecycle race: two domains, one winner per transition              *)
+(* ------------------------------------------------------------------ *)
+
+(* Two domains run [try_retire] over the same blocks, then [reclaim] over
+   them.  The inline state word must let exactly one domain win each
+   block's Live→Retired and Retired→Reclaimed CAS; every losing reclaim is
+   booked as a double reclaim; and the laned event totals fold to an
+   exact census once both domains have joined. *)
+let test_lifecycle_race () =
+  let n = 10_000 in
+  Alloc.reset ();
+  Alloc.set_strict false;
+  Fun.protect
+    ~finally:(fun () ->
+      Alloc.set_strict true;
+      Alloc.reset ())
+    (fun () ->
+      let blocks = Array.init n (fun _ -> Alloc.block ()) in
+      let arrived = Atomic.make 0 in
+      let barrier () =
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 do
+          Domain.cpu_relax ()
+        done
+      in
+      let worker () =
+        barrier ();
+        let won = Array.make n false in
+        Array.iteri (fun i b -> won.(i) <- Alloc.try_retire b) blocks;
+        Array.iter Alloc.reclaim blocks;
+        won
+      in
+      let ds = List.init 2 (fun _ -> Domain.spawn worker) in
+      let wins = List.map Domain.join ds in
+      for i = 0 to n - 1 do
+        let winners = List.length (List.filter (fun w -> w.(i)) wins) in
+        if winners <> 1 then
+          Alcotest.failf "block %d: %d retire winners" i winners;
+        if not (Hpbrcu_alloc.Block.is_reclaimed blocks.(i)) then
+          Alcotest.failf "block %d not reclaimed" i
+      done;
+      let st = Alloc.stats () in
+      Alcotest.(check int) "allocated" n st.Alloc.allocated;
+      Alcotest.(check int) "retired" n st.Alloc.retired;
+      Alcotest.(check int) "reclaimed" n st.Alloc.reclaimed;
+      Alcotest.(check int) "double reclaims = losing reclaims" n
+        st.Alloc.double_reclaims;
+      Alcotest.(check int) "unreclaimed = retired - reclaimed" 0
+        st.Alloc.unreclaimed;
+      Alcotest.(check int) "no double retire" 0 st.Alloc.double_retires)
+
 let () =
   let scheme_cases =
     List.map
@@ -353,6 +405,8 @@ let () =
           Alcotest.test_case "fiber-only rejection format" `Quick
             test_fiber_only_msg;
         ] );
+      ( "lifecycle",
+        [ Alcotest.test_case "retire/reclaim race" `Quick test_lifecycle_race ] );
       ( "determinism",
         [
           Alcotest.test_case "fiber trace byte-identical" `Quick

@@ -43,6 +43,39 @@ let drain_case (name, ((module X : SI.SCHEME), config)) =
       let module D = Drain (X) in
       D.run ~config ())
 
+(* [read]'s source header: every scheme but NR checks it, so a reclaimed
+   source is a use-after-free; [Block.none] stands for "no source" and is
+   never checked. *)
+type cell_node = { nb : Block.t }
+
+module Read_src (X : SI.SCHEME) = struct
+  module G = SI.Scoped (X)
+
+  let run ~config () =
+    reset ();
+    G.with_domain config @@ fun d ->
+    let h = X.register d in
+    let sh = X.new_shield h in
+    let cell = Link.cell (Some { nb = Alloc.block () }) in
+    let read src = X.op h (fun () -> X.read h sh ~src ~hdr:(fun n -> n.nb) cell) in
+    Alcotest.(check bool) "none: unchecked load" true
+      (read Block.none == Link.get cell);
+    let dead = Alloc.block () in
+    Alloc.retire dead;
+    Alloc.reclaim dead;
+    if X.scheme = "NR" then ignore (read dead : cell_node Link.t)
+    else
+      Alcotest.check_raises "reclaimed source" (Alloc.Use_after_free dead)
+        (fun () -> ignore (read dead : cell_node Link.t));
+    X.clear sh;
+    X.unregister h
+end
+
+let read_src_case (name, ((module X : SI.SCHEME), config)) =
+  Alcotest.test_case ("read-src/" ^ name) `Quick (fun () ->
+      let module R = Read_src (X) in
+      R.run ~config ())
+
 (* HP: a protected block survives scans; clearing the shield releases it. *)
 let test_hp_protection_defers () =
   reset ();
@@ -305,6 +338,7 @@ let () =
   Alcotest.run "schemes"
     [
       ("drain", List.map drain_case all);
+      ("read-src", List.map read_src_case all);
       ( "hp",
         [ Alcotest.test_case "protection-defers" `Quick test_hp_protection_defers ] );
       ("ebr", [ Alcotest.test_case "pin-blocks" `Quick test_ebr_pin_blocks ]);
